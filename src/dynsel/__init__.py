@@ -2,9 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import (Dominance, EvalCounter, Evaluator, ObjectiveVector,
-                   Solution, dominates, flip_each_bit, marginal_ratio,
-                   phi_ratio, substream)
+from .core import EvalCounter, Solution, phi_ratio, substream
 from .algorithms import (AdaptiveGreedy, Eamc, Nsga2, Pomc, brute_force_front,
                          brute_force_opt, gga, knapsack_opt_value)
 from .dynamics import (BudgetSchedule, RunRecord, gen_schedule, load_schedule,
@@ -14,12 +12,11 @@ from .analysis import (bonferroni_posthoc, check_phi_approx, curvature,
                        submodularity_ratio)
 
 __all__ = [
-    "AdaptiveGreedy", "BudgetSchedule", "Dominance", "Eamc", "EvalCounter",
-    "Evaluator", "Nsga2", "ObjectiveVector", "Pomc", "RunRecord", "Solution",
-    "bonferroni_posthoc", "brute_force_front", "brute_force_opt",
-    "check_phi_approx", "curvature", "dominates", "flip_each_bit",
+    "AdaptiveGreedy", "BudgetSchedule", "Eamc", "EvalCounter", "Nsga2",
+    "Pomc", "RunRecord", "Solution", "bonferroni_posthoc",
+    "brute_force_front", "brute_force_opt", "check_phi_approx", "curvature",
     "gen_schedule", "gga", "knapsack_opt_value", "kruskal_wallis",
-    "load_schedule", "marginal_ratio", "offline_errors",
-    "partial_offline_error", "phi_ratio", "preset_schedule", "run_dynamic",
-    "save_schedule", "submodularity_ratio", "substream", "warmup",
+    "load_schedule", "offline_errors", "partial_offline_error", "phi_ratio",
+    "preset_schedule", "run_dynamic", "save_schedule", "submodularity_ratio",
+    "substream", "warmup",
 ]

@@ -1,9 +1,12 @@
 """The five solvers plus exhaustive oracles.
 
 Greedy (GGA) and its adaptive variant (AdGGA) are deterministic per-budget
-procedures; POMC, EAMC and NSGA-II are iterative and consume one evaluation
-per offspring.  All of them operate on the (ObjectiveFn, CostFn) contracts
-from `core` and share an EvalCounter.
+procedures that count every f call.  POMC, EAMC and NSGA-II are iterative
+and share one protocol: `set_budget(b)` applies a dynamic change,
+`run(evals)` spends exactly `evals` evaluations, and `answer_value(budget)`
+reads the best stored (f, cost) within a bound (the current one by default).
+Every one of their evaluations goes through `evaluate`, the single place
+that counts and applies the infeasibility cutoff.
 """
 
 from __future__ import annotations
@@ -26,37 +29,51 @@ class NoFeasibleMemberError(RuntimeError):
 BRUTE_FORCE_CAP = 24
 
 
-def _mask_bits(mask: int, n: int) -> np.ndarray:
-    return (mask >> np.arange(n, dtype=np.uint64)).astype(np.uint8) & 1
+def evaluate(f, c, bits, counter, cutoff):
+    """One counted evaluation: c first, then f only when cost <= cutoff.
+
+    Returns (f or NEG_INF, cost).  The cutoff is B + 1 for POMC's
+    bi-objective reformulation, B for EAMC and +inf for NSGA-II.
+    """
+    counter.increment()
+    cost = float(c(bits))
+    if cost > cutoff:
+        return NEG_INF, cost
+    return float(f(bits)), cost
+
+
+def all_subsets(n):
+    """Every subset of an n-element ground set as 0/1 rows, in mask order
+    (row k of the enumeration is the binary expansion of k, bit i = element i)."""
+    if n > BRUTE_FORCE_CAP:
+        raise TooLargeError(f"n = {n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
+    shifts = np.arange(n, dtype=np.uint64)
+    total = 1 << n
+    for start in range(0, total, 4096):
+        masks = np.arange(start, min(start + 4096, total), dtype=np.uint64)
+        yield from ((masks[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def brute_force_opt(f, c, budget):
     """Exact maximizer of f over {X : c(X) <= budget} by enumeration, n <= 24."""
     n = f.n
-    if n > BRUTE_FORCE_CAP:
-        raise TooLargeError(f"n = {n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
-    best_mask, best_val = 0, NEG_INF
-    for mask in range(1 << n):
-        bits = _mask_bits(mask, n)
+    best_bits, best_val = None, NEG_INF
+    for bits in all_subsets(n):
         if float(c(bits)) <= budget:
             val = float(f(bits))
             if val > best_val:
-                best_mask, best_val = mask, val
-    if best_val == NEG_INF:
+                best_bits, best_val = bits, val
+    if best_bits is None:
         # c is monotone with c(empty) = 0, so this only happens for budget < 0
         return Solution.empty(n), float(f(Solution.empty(n).bits))
-    return Solution(_mask_bits(best_mask, n)), best_val
+    return Solution(best_bits.copy()), best_val
 
 
 def brute_force_front(f, c, budgets):
     """Optimum value for each budget in `budgets` from a single enumeration."""
-    n = f.n
-    if n > BRUTE_FORCE_CAP:
-        raise TooLargeError(f"n = {n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
     budgets = sorted(budgets)
     best = {b: NEG_INF for b in budgets}
-    for mask in range(1 << n):
-        bits = _mask_bits(mask, n)
+    for bits in all_subsets(f.n):
         cost = float(c(bits))
         val = None
         for b in budgets:
@@ -118,7 +135,7 @@ def _greedy_extend(f, c, x_bits, budget, counter):
     counter.increment()
     fx = float(f(x))
     while remaining:
-        best_i, best_ratio = None, -1.0
+        best_i, best_ratio = None, NEG_INF
         best_fv = best_cv = None
         for i, v in enumerate(remaining):
             x[v] = 1
@@ -238,18 +255,10 @@ class Pomc:
         self.rng = rng
         self.counter = counter if counter is not None else EvalCounter()
         zeros = np.zeros(self.n, dtype=np.uint8)
-        f1, f2 = self._evaluate(zeros)
+        f1, cost = evaluate(f, c, zeros, self.counter, self.budget + 1)
         self._bits = [zeros]
         self._f1 = [f1]
-        self._f2 = [f2]
-
-    def _evaluate(self, bits):
-        """One objective-vector computation under the current budget."""
-        self.counter.increment()
-        cost = float(self.c(bits))
-        if cost > self.budget + 1:
-            return NEG_INF, -cost
-        return float(self.f(bits)), -cost
+        self._f2 = [-cost]
 
     def set_budget(self, budget) -> None:
         """Dynamic change: stored vectors are intentionally left stale."""
@@ -257,10 +266,6 @@ class Pomc:
 
     def __len__(self):
         return len(self._bits)
-
-    def members(self):
-        return [(Solution(b.copy()), f1, f2)
-                for b, f1, f2 in zip(self._bits, self._f1, self._f2)]
 
     def _insert(self, child, f1, f2):
         pf1, pf2 = self._f1, self._f2
@@ -274,17 +279,15 @@ class Pomc:
         self._f2 = [pf2[i] for i in keep] + [f2]
 
     def step(self) -> None:
-        """One iteration: uniform parent, per-bit flip at 1/n, one evaluation."""
-        i = int(self.rng.integers(len(self._bits)))
-        child = self._bits[i] ^ (self.rng.random(self.n) < 1.0 / self.n)
-        f1, f2 = self._evaluate(child)
-        self._insert(child, f1, f2)
+        self.run(1)
 
     def run(self, evals: int) -> None:
-        """`evals` iterations with chunked random draws (same semantics as
-        repeated step(), different stream consumption)."""
+        """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
+        and one evaluation (f1 = -inf iff cost > budget + 1); random draws
+        are taken in chunks."""
         n, rate = self.n, 1.0 / self.n
-        evaluate, insert = self._evaluate, self._insert
+        f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
+        insert = self._insert
         rng_random = self.rng.random
         done = 0
         while done < evals:
@@ -295,31 +298,29 @@ class Pomc:
             for j in range(chunk):
                 bits = self._bits
                 child = bits[int(sel[j] * len(bits))] ^ flips[j]
-                f1, f2 = evaluate(child)
-                insert(child, f1, f2)
+                f1, cost = evaluate(f, c, child, counter, cutoff)
+                insert(child, f1, -cost)
             done += chunk
 
-    def answer(self, budget=None) -> Solution:
-        """Best stored-f1 member whose stored cost fits the budget; free."""
+    def _best(self, budget):
+        """Index of the best stored-f1 member whose stored cost fits the
+        budget (the current bound when None); free."""
         b = self.budget if budget is None else float(budget)
-        best_i, best_f1 = None, NEG_INF
+        best_i = None
         for i, (f1, f2) in enumerate(zip(self._f1, self._f2)):
-            if -f2 <= b and f1 > best_f1:
-                best_i, best_f1 = i, f1
+            if -f2 <= b and (best_i is None or f1 > self._f1[best_i]):
+                best_i = i
         if best_i is None:
             raise NoFeasibleMemberError(f"no member with stored cost <= {b}")
-        return Solution(self._bits[best_i].copy())
+        return best_i
+
+    def answer(self, budget=None) -> Solution:
+        return Solution(self._bits[self._best(budget)].copy())
 
     def answer_value(self, budget=None):
         """(stored f1, stored cost) of the answer member."""
-        b = self.budget if budget is None else float(budget)
-        best = None
-        for f1, f2 in zip(self._f1, self._f2):
-            if -f2 <= b and (best is None or f1 > best[0]):
-                best = (f1, -f2)
-        if best is None:
-            raise NoFeasibleMemberError(f"no member with stored cost <= {b}")
-        return best
+        i = self._best(budget)
+        return self._f1[i], -self._f2[i]
 
     def check_invariants(self) -> None:
         """Debug hook: pairwise mutual non-dominance and no -inf member."""
@@ -364,9 +365,7 @@ class Eamc:
         self.rng = rng
         self.counter = counter if counter is not None else EvalCounter()
         zeros = np.zeros(self.n, dtype=np.uint8)
-        self.counter.increment()
-        f0, c0 = float(f(zeros)), float(c(zeros))
-        entry = (zeros, f0, c0)
+        entry = (zeros, *evaluate(f, c, zeros, self.counter, self.budget))
         self.bins = {0: [entry, entry]}  # size -> [U, V]
         self._rebuild_members()
 
@@ -381,20 +380,15 @@ class Eamc:
     def __len__(self):
         return len(self._members)
 
-    def members(self):
-        return [(Solution(b.copy()), fv, cv) for (b, fv, cv) in self._members]
-
     def _g(self, fval, cost, size):
         return _eamc_g(fval, cost, size, self.alpha, self.budget)
 
     def step(self) -> None:
         i = int(self.rng.integers(len(self._members)))
         child = self._members[i][0] ^ (self.rng.random(self.n) < 1.0 / self.n)
-        self.counter.increment()
-        cost = float(self.c(child))
+        fval, cost = evaluate(self.f, self.c, child, self.counter, self.budget)
         if cost > self.budget:
             return
-        fval = float(self.f(child))
         size = int(child.sum())
         entry = (child, fval, cost)
         slot = self.bins.get(size)
@@ -417,40 +411,35 @@ class Eamc:
         for _ in range(evals):
             self.step()
 
-    def on_change(self, budget) -> None:
+    def set_budget(self, budget) -> None:
         """Remove every member with cost above the new bound; keep bin(0)."""
         self.budget = float(budget)
-        for size in list(self.bins):
-            u, v = self.bins[size]
-            u_ok = u[2] <= self.budget
-            v_ok = v[2] <= self.budget
-            if u_ok and v_ok:
-                continue
-            if not u_ok and not v_ok:
-                del self.bins[size]
-            elif u_ok:
-                self.bins[size] = [u, u]
+        for size, slot in list(self.bins.items()):
+            kept = [m for m in slot if m[2] <= self.budget]
+            if kept:  # a lone survivor fills both slots
+                self.bins[size] = [kept[0], kept[-1]]
             else:
-                self.bins[size] = [v, v]
+                del self.bins[size]
         self._rebuild_members()
 
-    def answer(self) -> Solution:
+    def _best(self, budget):
+        """(bits, f, cost) of the best-f member within the budget (the
+        current bound when None)."""
+        b = self.budget if budget is None else float(budget)
         best = None
-        for (bits, fval, cost) in self._members:
-            if cost <= self.budget and (best is None or fval > best[1]):
-                best = (bits, fval)
+        for member in self._members:
+            if member[2] <= b and (best is None or member[1] > best[1]):
+                best = member
         if best is None:
-            raise NoFeasibleMemberError(f"no member with cost <= {self.budget}")
-        return Solution(best[0].copy())
-
-    def answer_value(self):
-        best = None
-        for (_bits, fval, cost) in self._members:
-            if cost <= self.budget and (best is None or fval > best[0]):
-                best = (fval, cost)
-        if best is None:
-            raise NoFeasibleMemberError(f"no member with cost <= {self.budget}")
+            raise NoFeasibleMemberError(f"no member with cost <= {b}")
         return best
+
+    def answer(self, budget=None) -> Solution:
+        return Solution(self._best(budget)[0].copy())
+
+    def answer_value(self, budget=None):
+        _bits, fval, cost = self._best(budget)
+        return fval, cost
 
     def check_invariants(self) -> None:
         if len(self._members) > 2 * self.n + 2:
@@ -473,6 +462,15 @@ class _Individual:
         self.c_raw = c_raw
         self.rank = 0
         self.crowding = POS_INF
+
+
+def _best_within(individuals, budget):
+    """Highest raw-f individual with raw cost <= budget (first on ties)."""
+    best = None
+    for ind in individuals:
+        if ind.c_raw <= budget and (best is None or ind.f_raw > best.f_raw):
+            best = ind
+    return best
 
 
 def _fast_nondominated_sort(objs):
@@ -550,9 +548,9 @@ class Nsga2:
         self.f_max = float(f(full)) if f_max is None else float(f_max)
         self.c_max = float(c(full)) if c_max is None else float(c_max)
         zeros = np.zeros(self.n, dtype=np.uint8)
-        self.counter.increment()
-        seed_ind = _Individual(zeros, float(f(zeros)), float(c(zeros)))
-        self.parents = [seed_ind] * pop_size
+        self.seed_individual = _Individual(
+            zeros, *evaluate(f, c, zeros, self.counter, POS_INF))
+        self.parents = [self.seed_individual] * pop_size
 
     def set_budget(self, budget) -> None:
         """Penalties are derived from cached raw values, so a change costs
@@ -574,10 +572,10 @@ class Nsga2:
             return pa if pa.rank < pb.rank else pb
         return pa if pa.crowding >= pb.crowding else pb
 
-    def _make_offspring(self):
+    def _make_offspring(self, count):
         out = []
         rate = 1.0 / self.n
-        for _ in range(self.pop_size):
+        for _ in range(count):
             p1, p2 = self._tournament(), self._tournament()
             if self.rng.random() < self.crossover_rate:
                 take = self.rng.random(self.n) < 0.5
@@ -585,14 +583,14 @@ class Nsga2:
             else:
                 child = p1.bits.copy()
             child = child ^ (self.rng.random(self.n) < rate)
-            self.counter.increment()
-            cost = float(self.c(child))
-            out.append(_Individual(child, float(self.f(child)), cost))
+            out.append(_Individual(
+                child, *evaluate(self.f, self.c, child, self.counter, POS_INF)))
         return out
 
-    def generation(self) -> None:
-        """One generation: pop_size evaluations."""
-        offspring = self._make_offspring()
+    def generation(self, size=None) -> None:
+        """One generation of `size` offspring (pop_size by default), one
+        evaluation each, truncated back to pop_size survivors."""
+        offspring = self._make_offspring(self.pop_size if size is None else size)
         pool = self.parents + offspring
         objs = [self._penalized(ind) for ind in pool]
         fronts = _fast_nondominated_sort(objs)
@@ -601,10 +599,7 @@ class Nsga2:
             for i in front:
                 pool[i].rank = rank
                 pool[i].crowding = dist[i]
-        elite = None
-        for ind in pool:
-            if ind.c_raw <= self.budget and (elite is None or ind.f_raw > elite.f_raw):
-                elite = ind
+        elite = _best_within(pool, self.budget)
         if elite is not None:
             elite.crowding = POS_INF
         nxt = []
@@ -618,24 +613,24 @@ class Nsga2:
         self.parents = nxt
 
     def run(self, evals: int) -> None:
-        for _ in range(evals // self.pop_size):
+        """Exactly `evals` evaluations: whole generations, then one partial
+        generation for the remainder."""
+        whole, rest = divmod(evals, self.pop_size)
+        for _ in range(whole):
             self.generation()
+        if rest:
+            self.generation(rest)
 
-    def answer(self) -> Solution:
-        best = None
-        for ind in self.parents:
-            if ind.c_raw <= self.budget and (best is None or ind.f_raw > best.f_raw):
-                best = ind
-        if best is None:
-            return Solution.empty(self.n)
-        return Solution(best.bits.copy())
+    def _best(self, budget):
+        """Best raw-f parent within the budget (the current bound when None);
+        the seed individual, the empty set, when no parent fits."""
+        b = self.budget if budget is None else float(budget)
+        best = _best_within(self.parents, b)
+        return self.seed_individual if best is None else best
 
-    def answer_value(self):
-        best = None
-        for ind in self.parents:
-            if ind.c_raw <= self.budget and (best is None or ind.f_raw > best[0]):
-                best = (ind.f_raw, ind.c_raw)
-        if best is None:
-            zeros = np.zeros(self.n, dtype=np.uint8)
-            return float(self.f(zeros)), float(self.c(zeros))
-        return best
+    def answer(self, budget=None) -> Solution:
+        return Solution(self._best(budget).bits.copy())
+
+    def answer_value(self, budget=None):
+        best = self._best(budget)
+        return best.f_raw, best.c_raw

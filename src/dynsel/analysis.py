@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
-from .algorithms import Pomc, brute_force_front, brute_force_opt
+from .algorithms import Pomc, all_subsets, brute_force_front, brute_force_opt
 from .core import phi_ratio, substream
 
 
@@ -155,22 +155,13 @@ def format_marks(marks, index: int) -> str:
 SUBMOD_CAP = 10
 
 
-def _all_values(f, n):
-    vals = np.empty(1 << n)
-    idx = np.arange(n, dtype=np.uint64)
-    for mask in range(1 << n):
-        bits = ((mask >> idx) & 1).astype(np.uint8)
-        vals[mask] = f(bits)
-    return vals
-
-
 def submodularity_ratio(f, n=None) -> float:
     """Exact min over X subset Y, v not in Y of the nested marginal-gain
     ratio, clamped to [0, 1].  Exhaustive; n <= 10."""
     n = f.n if n is None else n
     if n > SUBMOD_CAP:
         raise ValueError(f"n = {n} exceeds exhaustive cap {SUBMOD_CAP}")
-    vals = _all_values(f, n)
+    vals = np.array([f(bits) for bits in all_subsets(n)], dtype=float)
     best = None
     for y in range(1 << n):
         for v in range(n):

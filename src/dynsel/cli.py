@@ -12,7 +12,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import shutil
 import sys
 from pathlib import Path
@@ -20,21 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import AdaptiveGreedy, Pomc, knapsack_opt_value
 from .analysis import (bonferroni_posthoc, brute_force_baseline,
-                       check_phi_approx, format_marks, kruskal_wallis,
-                       long_run_baseline, offline_errors,
-                       partial_offline_error)
-from .core import Solution, substream
+                       format_marks, kruskal_wallis, long_run_baseline,
+                       offline_errors, partial_offline_error)
+from .core import substream
 from .dynamics import (ALL_ALGORITHMS, SCHEDULE_PRESETS, gen_schedule,
                        load_schedule, preset_schedule, read_run_csv,
                        run_dynamic, save_schedule, write_run_csv)
-from .problems import (BipartiteCoverInstance, CoverageInstance,
-                       DirectedGraph, IcSpreadObjective, InfluenceInstance,
-                       bipartite_cover_graph, gen_adversarial_knapsack,
-                       gen_ba_graph, gen_bipartite_cover, gen_er_graph,
-                       gen_random_digraph, load_dimacs, load_edge_list,
-                       make_cost, save_edge_list)
+from .problems import (CoverageInstance, DirectedGraph, IcSpreadObjective,
+                       InfluenceInstance, bipartite_cover_graph,
+                       gen_adversarial_knapsack, gen_ba_graph,
+                       gen_bipartite_cover, gen_er_graph, gen_random_digraph,
+                       load_dimacs, load_edge_list, make_cost, save_edge_list)
+from .theory import (bipartite_decrease_trace, knapsack_increase_trace,
+                     pomc_phi_trial)
 
 EXPERIMENT_PRESETS = {
     "influence-routing": dict(schedule="influence", cost="routing",
@@ -429,43 +427,24 @@ def cmd_verify_theory(args) -> int:
 
     # greedy adaptation failure under budget increases (knapsack)
     for n in (4, 8, 16, 64):
-        inst = gen_adversarial_knapsack(n)
-        solver = AdaptiveGreedy(inst.objective, inst.cost, 1.0)
-        budget = 1.0
-        for _ in range(n // 2):
-            budget += 1.0
-            answer = solver.update(budget)
-        got = float(inst.objective(answer.bits))
-        opt = knapsack_opt_value(inst, budget)
-        passed = got == 3.5 and opt == 3 + n / 4
+        t = knapsack_increase_trace(n)
+        passed = t.value == 3.5 and t.optimum == 3 + n / 4
         report(f"knapsack-increase n={n}", passed,
-               f"adaptive greedy {got} vs optimum {opt} "
-               f"(ratio {got / opt:.4f})")
+               f"adaptive greedy {t.value} vs optimum {t.optimum} "
+               f"(ratio {t.value / t.optimum:.4f})")
 
     # greedy adaptation failure under budget decreases (bipartite cover)
     for n in (16, 64, 100):
-        inst = gen_bipartite_cover(n)
-        k = math.isqrt(n)
-        cost = make_cost("cardinality", n=n)
-        solver = AdaptiveGreedy(inst.objective, cost, float(n),
-                                initial=Solution.from_indices(n, range(n)))
-        answer = None
-        for b in range(n - 1, k - 1, -1):
-            answer = solver.update(float(b))
-        got = float(inst.objective(answer.bits))
-        passed = got == 2 * k
+        t = bipartite_decrease_trace(n)
+        passed = t.value == 2 * t.budget
         report(f"bipartite-decrease n={n}", passed,
-               f"adaptive greedy {got} vs optimum {n - k}")
+               f"adaptive greedy {t.value} vs optimum {t.optimum}")
 
     # phi-approximation of POMC on a small coverage instance
-    rng = substream(args.seed, "verify", "phi")
-    graph = gen_random_digraph(10, 0.2, rng)
-    inst = CoverageInstance(graph)
-    cost = make_cost("cardinality", n=10)
-    budget = 3.0
-    pomc = Pomc(inst.objective, cost, budget, substream(args.seed, "verify", "pomc"))
-    pomc.run(25 * 10 * 10 * int(budget))
-    rep = check_phi_approx(pomc, inst.objective, cost, budget, alpha=1.0)
+    graph = gen_random_digraph(10, 0.2, substream(args.seed, "verify", "phi"))
+    rep = pomc_phi_trial(CoverageInstance(graph).objective,
+                         make_cost("cardinality", n=10), 3.0,
+                         substream(args.seed, "verify", "pomc"))
     report("pomc-phi-approximation", rep.all_pass,
            f"phi={rep.phi:.4f}, budgets checked: "
            + ", ".join(f"b={ch.budget:g}:{'ok' if ch.passed else 'FAIL'}"

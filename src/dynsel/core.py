@@ -1,5 +1,5 @@
-"""Bit-vector solutions, objective/cost contracts, evaluation accounting
-and the bi-objective dominance relation shared by every solver.
+"""Bit-vector solutions, the objective/cost contracts and the evaluation
+counter shared by every solver.
 
 Solutions are characteristic vectors over a ground set of size n.  They are
 immutable after construction, so they can be stored in populations and shared
@@ -9,10 +9,7 @@ across runs without defensive copies.
 from __future__ import annotations
 
 import math
-import threading
 import zlib
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -72,19 +69,6 @@ class Solution:
     def size(self) -> int:
         return int(self.bits.sum())
 
-    def contains(self, v: int) -> bool:
-        return bool(self.bits[v])
-
-    def with_added(self, v: int) -> "Solution":
-        bits = self.bits.copy()
-        bits[v] = 1
-        return Solution(bits)
-
-    def with_removed(self, v: int) -> "Solution":
-        bits = self.bits.copy()
-        bits[v] = 0
-        return Solution(bits)
-
     def __eq__(self, other):
         return isinstance(other, Solution) and np.array_equal(self.bits, other.bits)
 
@@ -117,106 +101,14 @@ class CostFn:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """Stored (f1, f2) pair; f2 = -cost, f1 = -inf when the creating
-    evaluation found cost > B + 1."""
-
-    f1: float
-    f2: float
-
-    @property
-    def cost(self) -> float:
-        return -self.f2
-
-
-class Dominance(Enum):
-    STRICT = "strictly-dominates"
-    WEAK = "weakly-dominates"
-    NONE = "incomparable-or-dominated"
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> Dominance:
-    """Tri-state dominance of a over b; NEG_INF compares below every real."""
-    if a.f1 >= b.f1 and a.f2 >= b.f2:
-        if a.f1 > b.f1 or a.f2 > b.f2:
-            return Dominance.STRICT
-        return Dominance.WEAK
-    return Dominance.NONE
-
-
 class EvalCounter:
-    """Counts objective-vector (or scalar objective) computations.
-
-    Cache hits must not increment.  Updates are atomic so evaluators can be
-    called from independent runs concurrently.
-    """
+    """Counts objective evaluations; cache hits must not increment."""
 
     def __init__(self):
-        self._count = 0
-        self._lock = threading.Lock()
+        self.count = 0
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def increment(self, k: int = 1) -> None:
-        with self._lock:
-            self._count += k
-
-
-class Evaluator:
-    """Wraps (f, c) with evaluation counting and the B+1 infeasibility cutoff
-    used by the bi-objective reformulation."""
-
-    def __init__(self, f: ObjectiveFn, c: CostFn, counter: EvalCounter | None = None):
-        self.f = f
-        self.c = c
-        self.counter = counter if counter is not None else EvalCounter()
-
-    def vector(self, bits: np.ndarray, budget: float) -> ObjectiveVector:
-        """One objective-vector computation: f1 = -inf iff cost > budget + 1."""
-        self.counter.increment()
-        cost = float(self.c(bits))
-        if cost > budget + 1:
-            return ObjectiveVector(NEG_INF, -cost)
-        return ObjectiveVector(float(self.f(bits)), -cost)
-
-    def value(self, bits: np.ndarray) -> float:
-        """One scalar objective computation."""
-        self.counter.increment()
-        return float(self.f(bits))
-
-
-def flip_each_bit(s: Solution, rate: float, rng: np.random.Generator) -> Solution:
-    """Flip each bit independently with probability `rate`; returns a new solution."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be a probability")
-    mask = rng.random(s.n) < rate
-    return Solution(s.bits ^ mask)
-
-
-def mutate_bits(bits: np.ndarray, uniforms: np.ndarray, rate: float) -> np.ndarray:
-    """flip_each_bit on a raw bit array with pre-drawn uniforms (hot path)."""
-    return bits ^ (uniforms < rate)
-
-
-def marginal_ratio(f: ObjectiveFn, c: CostFn, x: Solution, v: int) -> float:
-    """Objective gain per unit cost of adding element v to x.
-
-    Zero cost increment: +inf for positive gain (take it greedily first),
-    0 for zero gain.
-    """
-    if v < 0 or v >= x.n:
-        raise ValueError(f"element {v} outside ground set of size {x.n}")
-    if x.contains(v):
-        raise ValueError(f"element {v} already selected")
-    y = x.with_added(v)
-    gain = float(f(y.bits)) - float(f(x.bits))
-    dc = float(c(y.bits)) - float(c(x.bits))
-    if dc == 0.0:
-        return POS_INF if gain > 0 else 0.0
-    return gain / dc
+    def increment(self) -> None:
+        self.count += 1
 
 
 def phi_ratio(alpha: float) -> float:

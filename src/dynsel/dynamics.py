@@ -200,8 +200,7 @@ def warmup(name, f, c, b_init, evals, rng, params=None, counter=None):
     if evals < 0:
         raise ValueError("warm-up evaluations must be non-negative")
     solver = make_solver(name, f, c, b_init, rng, params=params, counter=counter)
-    if evals:
-        solver.run(evals)
+    solver.run(evals)
     return solver
 
 
@@ -215,9 +214,9 @@ def _solver_answer(solver):
 def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     """Execute one algorithm over one change sequence.
 
-    Iterative algorithms report budgeted evaluation counts (exact multiples
-    of tau); greedy algorithms report their actual evaluation counter, which
-    is kept outside the tau budget.
+    Iterative algorithms report the evaluations counted since warm-up
+    (exact multiples of tau); greedy algorithms report their actual
+    evaluation counter, which is kept outside the tau budget.
     """
     if name not in ALL_ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}")
@@ -262,19 +261,14 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
                                   DEFAULT_WARMUP_EVALS if name == "pomc-wp" else 0))
     solver = warmup(name, f, c, budgets[0], warmup_evals, rng, params=params,
                     counter=counter)
-    used = 0
+    warmed = counter.count
     for i, b in enumerate(budgets):
         t0 = time.perf_counter()
         if i > 0:
-            if name in ("pomc", "pomc-wp"):
-                solver.set_budget(b)  # stale vectors, zero evaluations
-            elif name == "eamc":
-                solver.on_change(b)
-            else:
-                solver.set_budget(b)  # NSGA-II re-derives penalties lazily
+            solver.set_budget(b)
         solver.run(tau)
-        used += tau
         best_f, best_cost = _solver_answer(solver)
         wall = (time.perf_counter() - t0) * 1000
-        records.append(RunRecord(i, b, name, best_f, best_cost, used, wall))
+        records.append(RunRecord(i, b, name, best_f, best_cost,
+                                 counter.count - warmed, wall))
     return records

@@ -9,18 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynsel.algorithms import (AdaptiveGreedy, Eamc, Pomc, brute_force_front,
-                               brute_force_opt, knapsack_opt_value)
+from dynsel.algorithms import Eamc, Pomc, brute_force_front, brute_force_opt
 from dynsel.analysis import (kruskal_wallis, long_run_baseline,
                              offline_errors, partial_offline_error)
 from dynsel.cli import main as cli_main
 from dynsel.core import Solution, phi_ratio, substream
 from dynsel.dynamics import gen_schedule, read_run_csv, run_dynamic
 from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             InfluenceInstance, bfs_reachable,
-                             gen_adversarial_knapsack, gen_ba_graph,
-                             gen_bipartite_cover, gen_random_digraph,
-                             ic_spread, outdegree_cost, random_linear_cost)
+                             InfluenceInstance, bfs_reachable, gen_ba_graph,
+                             gen_random_digraph, ic_spread, outdegree_cost,
+                             random_linear_cost)
+from dynsel.theory import (bipartite_decrease_trace, knapsack_increase_trace,
+                           pomc_phi_trial)
 
 
 def report(num, name, passed, detail):
@@ -39,18 +39,11 @@ def test_criterion_1_knapsack_increase_trace():
     ok = True
     for n in (4, 8, 16, 64):
         t0 = time.perf_counter()
-        inst = gen_adversarial_knapsack(n)
-        solver = AdaptiveGreedy(inst.objective, inst.cost, 1.0,
-                                initial=Solution.from_indices(n + 1, [n]))
-        budget = 1.0
-        answer = solver.answer()
-        for _ in range(n // 2):
-            budget += 1.0
-            answer = solver.update(budget)
-        got = float(inst.objective(answer.bits))
-        opt = knapsack_opt_value(inst, budget)
+        trace = knapsack_increase_trace(n)
+        got, opt = trace.value, trace.optimum
         if n + 1 <= 24:
-            _sol, enum = brute_force_opt(inst.objective, inst.cost, budget)
+            _sol, enum = brute_force_opt(trace.objective, trace.cost,
+                                         trace.budget)
             ok = ok and enum == opt
         elapsed = time.perf_counter() - t0
         ok = ok and got == 3.5 and opt == 3 + n / 4 and elapsed < 1.0
@@ -67,20 +60,14 @@ def test_criterion_2_bipartite_decrease_trace():
     ok = True
     for n in (16, 64, 100):
         k = math.isqrt(n)
-        inst = gen_bipartite_cover(n)
-        cost = CardinalityCost(n)
-        solver = AdaptiveGreedy(inst.objective, cost, float(n),
-                                initial=Solution.from_indices(n, range(n)))
-        answer = None
-        for b in range(n - 1, k - 1, -1):
-            answer = solver.update(float(b))
-        got = float(inst.objective(answer.bits))
+        trace = bipartite_decrease_trace(n)
+        got = trace.value
         # the k hub nodes witness the optimum value at budget sqrt(n)
-        hubs = inst.objective(
+        hubs = trace.objective(
             Solution.from_indices(n, [i * k for i in range(k)]).bits)
-        ok = ok and got == 2 * k and hubs == n - k
+        ok = ok and got == 2 * k and hubs == n - k == trace.optimum
         if n == 16:
-            _sol, opt = brute_force_opt(inst.objective, cost, float(k))
+            _sol, opt = brute_force_opt(trace.objective, trace.cost, float(k))
             ok = ok and opt == n - k
         details.append(f"n={n}: {got} vs {n - k}")
     elapsed = time.perf_counter() - t0
@@ -93,7 +80,6 @@ def test_criterion_3_pomc_phi_approximation():
     """POMC reaches a 0.3160-approximation at every budget level on random
     coverage instances, in at least 28 of 30 seeded trials per instance."""
     t0 = time.perf_counter()
-    phi = 0.3160
     rng = substream(77, "c3-instances")
     results = []
     ok = True
@@ -108,11 +94,9 @@ def test_criterion_3_pomc_phi_approximation():
         passes = trials = 0
         for trial in range(30):
             trials += 1
-            p = Pomc(f, c, float(budget), substream(trial, "c3-run", inst_i))
-            p.run(25 * n * n * budget)
-            passes += all(
-                optima[b] <= 0 or p.answer_value(b)[0] >= phi * optima[b] - 1e-9
-                for b in grid)
+            passes += pomc_phi_trial(f, c, float(budget),
+                                     substream(trial, "c3-run", inst_i),
+                                     optima=optima).all_pass
             if passes >= 28:
                 break  # outcome decided for this instance
         ok = ok and passes >= 28
@@ -174,7 +158,7 @@ def test_criterion_5_population_invariants():
     cost_budgets = [2.0, 3.0, 1.0, 2.5, 1.5]
     for i in range(100_000):
         if i % 20_000 == 19_999:
-            eamc.on_change(cost_budgets[(i // 20_000 + 1) % len(cost_budgets)])
+            eamc.set_budget(cost_budgets[(i // 20_000 + 1) % len(cost_budgets)])
         eamc.step()
         eamc.check_invariants()
 

@@ -5,15 +5,33 @@ import pytest
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, NoFeasibleMemberError,
                                Nsga2, Pomc, TooLargeError, _eamc_g,
-                               _fast_nondominated_sort, brute_force_front,
-                               brute_force_opt, gga, knapsack_opt_value)
-from dynsel.core import NEG_INF, EvalCounter, Solution, phi_ratio, substream
+                               _fast_nondominated_sort, all_subsets,
+                               brute_force_front, brute_force_opt, evaluate,
+                               gga, knapsack_opt_value)
+from dynsel.core import (NEG_INF, EvalCounter, ObjectiveFn, Solution,
+                         phi_ratio, substream)
 from dynsel.problems import (CardinalityCost, CoverageInstance, LinearCost,
                              LinearObjective, gen_adversarial_knapsack,
                              gen_bipartite_cover, gen_random_digraph,
                              random_linear_cost)
 
 from conftest import bits_of
+
+
+# ---------------------------------------------------------------------------
+# evaluation accounting
+
+
+class TestEvaluate:
+    def test_vector_cutoff_at_b_plus_one(self, g3_objective, card3):
+        counter = EvalCounter()
+        ok = evaluate(g3_objective, card3, bits_of(3, [0, 1]), counter,
+                      1.0 + 1)  # cost 2 = B+1, kept
+        assert ok == (3.0, 2.0)
+        cut = evaluate(g3_objective, card3, bits_of(3, [0, 1, 2]), counter,
+                       1.0 + 1)  # cost 3 > B+1
+        assert cut == (NEG_INF, 3.0)
+        assert counter.count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +56,12 @@ class TestBruteForce:
         f = LinearObjective(np.ones(25))
         with pytest.raises(TooLargeError):
             brute_force_opt(f, CardinalityCost(25), 3.0)
+
+    def test_subsets_in_mask_order(self):
+        rows = list(all_subsets(13))  # two chunks of rows
+        assert len(rows) == 1 << 13
+        for mask, row in enumerate(rows):
+            assert row.tolist() == [(mask >> i) & 1 for i in range(13)]
 
     def test_front_matches_pointwise(self, g3_objective, card3):
         front = brute_force_front(g3_objective, card3, [0.0, 1.0, 2.0, 3.0])
@@ -95,6 +119,17 @@ class TestGga:
             _sol, opt = brute_force_opt(f, c, 3.0)
             got = f(gga(f, c, 3.0).bits)
             assert got >= phi * opt - 1e-9
+
+    def test_decreasing_objective_does_not_crash(self):
+        # every marginal ratio is -10: a noisy Monte-Carlo f can do this
+        class Decreasing(ObjectiveFn):
+            n = 4
+
+            def __call__(self, bits):
+                return -10.0 * float(bits.sum())
+
+        sol = gga(Decreasing(), CardinalityCost(4), 2.0)
+        assert sol.indices().tolist() == [0]
 
     def test_relabeling_invariance(self):
         # instance with a unique argmax at every step
@@ -170,9 +205,10 @@ class TestPomc:
 
     def test_over_budget_offspring_rejected(self, g3_objective, card3):
         p = self.make(g3_objective, card3, budget=1.0)
-        f1, f2 = p._evaluate(bits_of(3, [0, 1, 2]))  # cost 3 > B+1
+        f1, cost = evaluate(g3_objective, card3, bits_of(3, [0, 1, 2]),
+                            p.counter, p.budget + 1)  # cost 3 > B+1
         assert f1 == NEG_INF
-        p._insert(bits_of(3, [0, 1, 2]), f1, f2)
+        p._insert(bits_of(3, [0, 1, 2]), f1, -cost)
         assert len(p) == 1  # dominated by the all-zeros member
 
     def test_duplicate_vector_newcomer_wins(self, g3_objective, card3):
@@ -262,26 +298,26 @@ class TestEamc:
         e.step()  # whatever happens, bin(0) holds the original all-zeros
         assert e.bins[0][0] is entry0[0] or e.bins[0][0][1] > entry0[0][1]
 
-    def test_on_change_removes_infeasible(self, g3_objective):
+    def test_set_budget_removes_infeasible(self, g3_objective):
         c = LinearCost([1.5, 0.5, 0.5])
         e = self.make(g3_objective, c, budget=2.0, seed=3)
         e.run(300)
         costs_before = [cost for (_b, _f, cost) in e._members]
         assert any(cost > 1.0 for cost in costs_before)
-        e.on_change(1.0)
+        e.set_budget(1.0)
         assert all(cost <= 1.0 for (_b, _f, cost) in e._members)
 
     def test_increase_removes_nothing(self, g3_objective, card3):
         e = self.make(g3_objective, card3, budget=1.0)
         e.run(200)
         before = len(e)
-        e.on_change(2.0)
+        e.set_budget(2.0)
         assert len(e) == before
 
     def test_change_to_zero_keeps_only_empty(self, g3_objective, card3):
         e = self.make(g3_objective, card3, budget=3.0)
         e.run(200)
-        e.on_change(0.0)
+        e.set_budget(0.0)
         assert list(e.bins) == [0]
         assert e.answer().size() == 0
 
@@ -352,6 +388,31 @@ class TestNsga2:
         base = solver.counter.count
         solver.generation()
         assert solver.counter.count - base == solver.pop_size
+
+    def test_run_spends_exactly_evals(self, g3_objective, card3):
+        solver = self.make(g3_objective, card3)
+        base = solver.counter.count
+        solver.run(37)  # one whole generation, then 17 offspring
+        assert solver.counter.count - base == 37
+        assert len(solver.parents) == solver.pop_size
+
+    def test_whole_generations_draw_the_same_stream(self, g3_objective, card3):
+        a = self.make(g3_objective, card3, seed=3)
+        b = self.make(g3_objective, card3, seed=3)
+        a.run(60)
+        for _ in range(3):
+            b.generation()
+        assert [ind.bits.tolist() for ind in a.parents] == \
+               [ind.bits.tolist() for ind in b.parents]
+        assert a.rng.random() == b.rng.random()
+
+    def test_no_feasible_parent_falls_back_to_seed(self, g3_objective, card3):
+        solver = self.make(g3_objective, card3, budget=2.0)
+        solver.run(100)
+        calls = solver.counter.count
+        assert solver.answer_value(-1.0) == (0.0, 0.0)
+        assert solver.answer(-1.0).size() == 0
+        assert solver.counter.count == calls
 
     def test_answer_feasible(self, g3_objective, card3):
         solver = self.make(g3_objective, card3, budget=1.0)

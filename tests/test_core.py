@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynsel.core import (NEG_INF, POS_INF, Dominance, EvalCounter, Evaluator,
-                         ObjectiveVector, Solution, dominates, flip_each_bit,
-                         marginal_ratio, phi_ratio, substream)
-from dynsel.problems import LinearCost, LinearObjective
-
-from conftest import bits_of
+from dynsel.core import Solution, phi_ratio, substream
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +22,6 @@ class TestSolution:
         s = Solution.from_indices(5, [0, 3])
         assert s.indices().tolist() == [0, 3]
         assert s.size() == 2
-        assert s.contains(3) and not s.contains(1)
 
     def test_from_indices_out_of_range(self):
         with pytest.raises(ValueError):
@@ -37,165 +31,11 @@ class TestSolution:
         with pytest.raises(ValueError):
             Solution(np.array([0, 2, 1], dtype=np.uint8))
 
-    def test_with_added_removed_copy(self):
-        s = Solution.empty(3)
-        t = s.with_added(1)
-        assert t.indices().tolist() == [1]
-        assert s.size() == 0
-        assert t.with_removed(1) == s
-
     def test_eq_hash(self):
         a = Solution.from_indices(4, [2])
         b = Solution.from_indices(4, [2])
         assert a == b and hash(a) == hash(b)
         assert a != Solution.from_indices(4, [1])
-
-
-# ---------------------------------------------------------------------------
-# dominance
-
-
-class TestDominates:
-    def test_componentwise_strict(self):
-        assert dominates(ObjectiveVector(3, -1), ObjectiveVector(2, -2)) is Dominance.STRICT
-
-    def test_identity_is_weak(self):
-        v = ObjectiveVector(3, -1)
-        assert dominates(v, v) is Dominance.WEAK
-
-    def test_neg_inf_below_any_real(self):
-        assert dominates(ObjectiveVector(NEG_INF, 0), ObjectiveVector(0, 0)) is Dominance.NONE
-
-    def test_partial_order_on_random_vectors(self, rng):
-        vecs = [ObjectiveVector(float(a), float(b))
-                for a, b in rng.integers(-3, 4, size=(30, 2))]
-        for a in vecs:
-            assert dominates(a, a) is Dominance.WEAK  # reflexive
-        for a in vecs:
-            for b in vecs:
-                ab, ba = dominates(a, b), dominates(b, a)
-                if ab is not Dominance.NONE and ba is not Dominance.NONE:
-                    assert (a.f1, a.f2) == (b.f1, b.f2)  # antisymmetry
-        for a in vecs[:10]:
-            for b in vecs[:10]:
-                for c in vecs[:10]:
-                    if (dominates(a, b) is not Dominance.NONE
-                            and dominates(b, c) is not Dominance.NONE):
-                        assert dominates(a, c) is not Dominance.NONE  # transitive
-
-    def test_cost_view(self):
-        assert ObjectiveVector(1.0, -2.5).cost == 2.5
-
-
-# ---------------------------------------------------------------------------
-# flip_each_bit
-
-
-class TestFlipEachBit:
-    def test_rate_zero_unchanged(self, rng):
-        s = Solution.from_indices(6, [0, 5])
-        assert flip_each_bit(s, 0.0, rng) == s
-
-    def test_rate_one_flips_all(self, rng):
-        s = Solution.empty(4)
-        assert flip_each_bit(s, 1.0, rng).indices().tolist() == [0, 1, 2, 3]
-
-    def test_input_unmodified(self, rng):
-        s = Solution.from_indices(8, [1, 2])
-        before = s.bits.copy()
-        flip_each_bit(s, 0.5, rng)
-        assert np.array_equal(s.bits, before)
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            flip_each_bit(Solution.empty(3), 1.5, rng)
-
-    def test_expected_hamming_distance(self):
-        # Binomial(4, 1/4) has mean 1
-        rng = substream(7, "flip-mean")
-        s = Solution.empty(4)
-        trials = 10_000
-        total = sum(flip_each_bit(s, 0.25, rng).size() for _ in range(trials))
-        assert abs(total / trials - 1.0) < 0.05
-
-    def test_exactly_one_bit_frequency(self):
-        # P(exactly one flip) = n * (1/n) * (1 - 1/n)^(n-1)
-        n, trials = 8, 100_000
-        rng = substream(11, "flip-one")
-        s = Solution.empty(n)
-        p = (1 - 1 / n) ** (n - 1)
-        hits = sum(flip_each_bit(s, 1 / n, rng).size() == 1 for _ in range(trials))
-        se = math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) < 3 * se
-
-
-# ---------------------------------------------------------------------------
-# marginal_ratio
-
-
-class TestMarginalRatio:
-    def test_g3_hub(self, g3_objective, card3):
-        got = marginal_ratio(g3_objective, card3, Solution.empty(3), 0)
-        assert got == 3.0  # f({hub}) = 3, unit cost
-
-    def test_constant_objective(self, card3):
-        class Const:
-            n = 3
-
-            def __call__(self, bits):
-                return 7.0
-
-        assert marginal_ratio(Const(), card3, Solution.empty(3), 1) == 0.0
-
-    def test_special_knapsack_item(self, knapsack4):
-        got = marginal_ratio(knapsack4.objective, knapsack4.cost,
-                             Solution.empty(5), 4)
-        assert got == 3.0  # item (cost 1, value 3)
-
-    def test_zero_cost_positive_gain(self):
-        f = LinearObjective([1.0, 1.0])
-        c = LinearCost([0.0, 1.0])
-        assert marginal_ratio(f, c, Solution.empty(2), 0) == POS_INF
-
-    def test_zero_cost_zero_gain(self):
-        f = LinearObjective([0.0, 1.0])
-        c = LinearCost([0.0, 1.0])
-        assert marginal_ratio(f, c, Solution.empty(2), 0) == 0.0
-
-    def test_rejects_selected_element(self, g3_objective, card3):
-        with pytest.raises(ValueError):
-            marginal_ratio(g3_objective, card3, Solution.from_indices(3, [1]), 1)
-
-    def test_rejects_out_of_range(self, g3_objective, card3):
-        with pytest.raises(ValueError):
-            marginal_ratio(g3_objective, card3, Solution.empty(3), 3)
-
-
-# ---------------------------------------------------------------------------
-# evaluation accounting
-
-
-class TestEvaluator:
-    def test_counter_counts_exactly(self, g3_objective, card3):
-        counter = EvalCounter()
-        ev = Evaluator(g3_objective, card3, counter)
-        for k in range(5):
-            ev.vector(bits_of(3, [0]), budget=2.0)
-        ev.value(bits_of(3, [1]))
-        assert counter.count == 6
-
-    def test_vector_cutoff_at_b_plus_one(self, g3_objective, card3):
-        ev = Evaluator(g3_objective, card3)
-        ok = ev.vector(bits_of(3, [0, 1]), budget=1.0)  # cost 2 = B+1, kept
-        assert ok.f1 == 3.0 and ok.f2 == -2.0
-        cut = ev.vector(bits_of(3, [0, 1, 2]), budget=1.0)  # cost 3 > B+1
-        assert cut.f1 == NEG_INF and cut.cost == 3.0
-
-    def test_counter_increment_atomicity_contract(self):
-        counter = EvalCounter()
-        counter.increment(3)
-        counter.increment()
-        assert counter.count == 4
 
 
 # ---------------------------------------------------------------------------

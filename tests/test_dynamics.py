@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from dynsel.algorithms import brute_force_opt
-from dynsel.core import substream
+from dynsel.core import EvalCounter, substream
 from dynsel.dynamics import (BudgetSchedule, gen_schedule, load_schedule,
-                             preset_schedule, read_run_csv, run_dynamic,
-                             save_schedule, warmup, write_run_csv)
+                             make_solver, preset_schedule, read_run_csv,
+                             run_dynamic, save_schedule, warmup, write_run_csv)
 from dynsel.problems import (CardinalityCost, CoverageInstance,
                              gen_adversarial_knapsack, gen_random_digraph,
                              random_linear_cost)
@@ -107,9 +107,16 @@ class TestRunDynamic:
         s = BudgetSchedule(2.0, 1.0, 4.0, [1.0, -1.0], tau=37, r=1.0)
         for alg in ("pomc", "eamc", "nsga2"):
             records = run_dynamic(alg, f, c, s, seed=6)
-            diffs = [records[i].evaluations - records[i - 1].evaluations
-                     for i in range(1, len(records))]
-            assert all(d == 37 for d in diffs)
+            assert [r.evaluations for r in records] == [37, 74, 111]
+            # the same epochs driven by hand: the counter itself moves by tau
+            counter = EvalCounter()
+            solver = make_solver(alg, f, c, s.b_init, substream(6, "run", alg),
+                                 counter=counter)
+            for b in s.budgets():
+                before = counter.count
+                solver.set_budget(b)
+                solver.run(s.tau)
+                assert counter.count - before == s.tau, alg
 
     def test_pomc_tau_zero_frozen(self):
         f, c = coverage_setup()
