@@ -1,8 +1,8 @@
 """The five solvers plus exhaustive oracles.
 
-Greedy (GGA) and its adaptive variant (AdGGA) are deterministic per-budget
-procedures that count every f call.  POMC, EAMC and NSGA-II are iterative
-and share one protocol: `set_budget(b)` applies a dynamic change,
+Greedy (GGA) and its adaptive variant (AdGGA) are per-budget procedures
+that draw no random numbers and count every f call.  POMC, EAMC and NSGA-II
+are iterative and share one protocol: `set_budget(b)` applies a dynamic change,
 `run(evals)` spends exactly `evals` evaluations, and `answer_value(budget)`
 reads the best stored (f, cost) within a bound (the current one by default).
 Every one of their evaluations goes through `evaluate`, the single place
@@ -341,7 +341,7 @@ def _eamc_g(fval, cost, size, alpha, budget):
     """Budget-normalized surrogate; g(empty) = f(empty)."""
     if size == 0:
         return fval
-    denom = 1.0 - math.exp(-alpha * cost / budget)
+    denom = 1.0 - math.exp(-alpha * cost / budget) if cost > 0 else 0.0
     if denom <= 0.0:
         return POS_INF if fval > 0 else fval
     return fval / denom

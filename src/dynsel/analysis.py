@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
 from .algorithms import Pomc, all_subsets, brute_force_front, brute_force_opt
-from .core import phi_ratio, substream
+from .core import NEG_INF, phi_ratio, substream
 
 
 @dataclass
@@ -65,6 +65,22 @@ def long_run_baseline(f, c, evals=100_000, seed=0, cache=None):
         return cache[budget]
 
     return baseline
+
+
+def observed_baseline(baseline, runs):
+    """Raise `baseline` to the best answer any run reported at each budget.
+
+    A heuristic baseline can fall below an answer a run found, which would
+    make that offline error negative.  Returns the raised baseline and the
+    number of records whose error against the raw baseline is negative.
+    """
+    best = {}
+    negatives = 0
+    for records in runs:
+        for rec in records:
+            best[rec.budget] = max(best.get(rec.budget, NEG_INF), rec.best_f)
+            negatives += int(baseline(rec.budget) < rec.best_f)
+    return lambda budget: max(baseline(budget), best.get(budget, NEG_INF)), negatives
 
 
 # ---------------------------------------------------------------------------

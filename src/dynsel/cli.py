@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .analysis import (bonferroni_posthoc, brute_force_baseline,
                        format_marks, kruskal_wallis, long_run_baseline,
-                       offline_errors, partial_offline_error)
+                       observed_baseline, offline_errors,
+                       partial_offline_error)
 from .core import substream
 from .dynamics import (ALL_ALGORITHMS, SCHEDULE_PRESETS, gen_schedule,
                        load_schedule, preset_schedule, read_run_csv,
@@ -196,7 +197,7 @@ def build_instance(cfg, base_dir: Path):
                 simulations=inst_sec.getint("simulations", 500),
                 routing_graph=routing,
                 per_node_cost=inst_sec.getfloat("per_node_cost", 0.1))
-            f = IcSpreadObjective(influence, rng=substream(seed, "ic"))
+            f = IcSpreadObjective(influence, substream(seed, "ic"))
             meta["influence"] = influence
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -363,6 +364,8 @@ def cmd_analyze(args) -> int:
         by_alg.setdefault(alg, {})[seed] = records
     if not by_alg:
         raise ValueError("no run files found")
+    baseline, negatives = observed_baseline(
+        baseline, [r for runs in by_alg.values() for r in runs.values()])
     algorithms = sorted(by_alg)
     total = max(len(r) for runs in by_alg.values() for r in runs.values())
     intervals = _parse_intervals(args.intervals, total)
@@ -406,6 +409,7 @@ def cmd_analyze(args) -> int:
         "version": __version__,
         "config_hash": manifest["config_hash"],
         "baseline": baseline_id,
+        "negative_errors": negatives,
         "algorithms": algorithms,
         "matrices": matrices,
     }, indent=2))

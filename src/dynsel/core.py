@@ -81,9 +81,8 @@ class Solution:
 
 class ObjectiveFn:
     """Monotone objective f over bit vectors. Subclasses set `n` and implement
-    __call__(bits) -> float; `deterministic` is False for Monte-Carlo objectives."""
+    __call__(bits) -> float."""
 
-    deterministic = True
     n: int
 
     def __call__(self, bits: np.ndarray) -> float:

@@ -39,6 +39,8 @@ class BudgetSchedule:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.b_min < 0:
+            raise ValueError(f"b_min must be non-negative, got {self.b_min!r}")
         if not self.b_min <= self.b_init <= self.b_max:
             raise ValueError("need b_min <= b_init <= b_max")
         if any(abs(d) > self.r + 1e-12 for d in self.deltas):
@@ -66,8 +68,6 @@ def gen_schedule(b_init, b_min, b_max, r, count, tau, rng,
         raise ValueError("r must be positive")
     if count < 1:
         raise ValueError("need at least one change")
-    if not b_min <= b_init <= b_max:
-        raise ValueError("b_init outside [b_min, b_max]")
     deltas = []
     for _ in range(count):
         if integer_deltas:
@@ -226,29 +226,18 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     tau = schedule.tau
     records = []
 
-    if name == "gga":
+    if name in GREEDY_ALGORITHMS:
         counter = EvalCounter()
+        adaptive = None
         for i, b in enumerate(budgets):
             t0 = time.perf_counter()
-            sol = gga(f, c, b, counter=counter)
-            wall = (time.perf_counter() - t0) * 1000
-            records.append(RunRecord(i, b, name, float(f(sol.bits)),
-                                     float(c(sol.bits)), counter.count, wall,
-                                     solution=sol))
-        return records
-
-    if name == "adgga":
-        counter = EvalCounter()
-        t0 = time.perf_counter()
-        solver = AdaptiveGreedy(f, c, budgets[0], counter=counter)
-        sol = solver.answer()
-        wall = (time.perf_counter() - t0) * 1000
-        records.append(RunRecord(0, budgets[0], name, float(f(sol.bits)),
-                                 float(c(sol.bits)), counter.count, wall,
-                                 solution=sol))
-        for i, b in enumerate(budgets[1:], start=1):
-            t0 = time.perf_counter()
-            sol = solver.update(b)
+            if name == "gga":
+                sol = gga(f, c, b, counter=counter)
+            elif adaptive is None:
+                adaptive = AdaptiveGreedy(f, c, b, counter=counter)
+                sol = adaptive.answer()
+            else:
+                sol = adaptive.update(b)
             wall = (time.perf_counter() - t0) * 1000
             records.append(RunRecord(i, b, name, float(f(sol.bits)),
                                      float(c(sol.bits)), counter.count, wall,

@@ -2,7 +2,8 @@
 
 Two benchmark families are provided: maximum coverage over directed graphs
 (a node covers itself plus its out-neighbors) and influence maximization
-under the independent cascade model.  Both worst-case constructions used in
+under the independent cascade model, which is coverage over fixed live-edge
+samples.  Both worst-case constructions used in
 the theoretical analysis (the adversarial knapsack and the bipartite cover
 graph) are generated exactly.
 """
@@ -10,13 +11,16 @@ graph) are generated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import CostFn, ObjectiveFn, substream
+from .core import CostFn, ObjectiveFn
 
 
 class GraphParseError(ValueError):
@@ -93,30 +97,23 @@ class SetCoverObjective(ObjectiveFn):
     """f(X) = size of the union of the cover sets of the selected elements.
 
     Cover sets are kept as integer bitmasks over the universe, so one
-    evaluation is a few OR operations plus a popcount.
+    evaluation is an OR over the selected masks plus a popcount.
     """
 
-    def __init__(self, n, universe_size, cover_sets):
-        self.n = n
-        self.universe_size = universe_size
-        self.masks = []
-        for s in cover_sets:
-            m = 0
-            for e in s:
-                if not 0 <= e < universe_size:
-                    raise ValueError("covered element outside universe")
-                m |= 1 << e
-            self.masks.append(m)
-        if len(self.masks) != n:
-            raise ValueError("need one cover set per ground-set element")
+    def __init__(self, masks):
+        self.masks = list(masks)
+        self.n = len(self.masks)
+
+    @classmethod
+    def from_sets(cls, universe_size, cover_sets):
+        sets = [set(s) for s in cover_sets]
+        if any(not 0 <= e < universe_size for s in sets for e in s):
+            raise ValueError("covered element outside universe")
+        return cls(sum(1 << e for e in s) for s in sets)
 
     def __call__(self, bits) -> float:
-        acc = 0
-        masks = self.masks
-        for i, b in enumerate(np.asarray(bits, dtype=np.uint8).tobytes()):
-            if b:
-                acc |= masks[i]
-        return float(acc.bit_count())
+        selected = compress(self.masks, np.asarray(bits, dtype=np.uint8).tobytes())
+        return float(reduce(or_, selected, 0).bit_count())
 
 
 class LinearObjective(ObjectiveFn):
@@ -139,7 +136,7 @@ class CoverageInstance:
     def __post_init__(self):
         g = self.graph
         sets = [{p, *g.out_neighbors(p)} for p in range(g.n)]
-        self.objective = SetCoverObjective(g.n, g.n, sets)
+        self.objective = SetCoverObjective.from_sets(g.n, sets)
 
     @property
     def n(self):
@@ -155,7 +152,8 @@ class BipartiteCoverInstance:
     cover_sets: list
 
     def __post_init__(self):
-        self.objective = SetCoverObjective(self.n, self.universe_size, self.cover_sets)
+        self.objective = SetCoverObjective.from_sets(self.universe_size,
+                                                     self.cover_sets)
 
 
 @dataclass
@@ -177,6 +175,11 @@ class KnapsackInstance:
         return len(self.items)
 
 
+# Largest n * n * simulations bit footprint of the live-edge masks; larger
+# instances need reverse influence sampling (Borgs et al., SODA 2014).
+LIVE_EDGE_CAP = 1 << 30
+
+
 @dataclass
 class InfluenceInstance:
     """Influence maximization under the independent cascade model."""
@@ -189,72 +192,51 @@ class InfluenceInstance:
     def __post_init__(self):
         if self.simulations < 1:
             raise ValueError("need at least one simulation")
-        g = self.social_graph
-        # adjacency as arrays for the cascade inner loop
-        self._targets = [np.array([t for (t, _p, _w) in g.adjacency[u]], dtype=np.intp)
-                         for u in range(g.n)]
-        self._probs = [np.array([p for (_t, p, _w) in g.adjacency[u]], dtype=float)
-                       for u in range(g.n)]
+        if self.n * self.n * self.simulations > LIVE_EDGE_CAP:
+            raise ValueError(
+                f"n = {self.n} and simulations = {self.simulations} need "
+                f"n*n*simulations bits of live-edge masks, over {LIVE_EDGE_CAP}")
 
     @property
     def n(self):
         return self.social_graph.n
 
 
-class IcSpreadObjective(ObjectiveFn):
-    """Average cascade size over `inst.simulations` independent simulations.
+class IcSpreadObjective(SetCoverObjective):
+    """Mean spread over R = `inst.simulations` live-edge samples drawn once.
 
-    With `crn_seed` set, per-simulation live-edge draws come from fixed
-    sub-seeds (common random numbers), which makes the estimate monotone in
-    the seed set and reduces variance across evaluations.
+    A live-edge sample keeps each edge with its influence probability, and a
+    cascade from a seed set activates exactly the nodes the seeds reach in
+    it (Kempe, Kleinberg & Tardos, KDD 2003).  Over fixed samples the spread
+    is a coverage function on V x [R] divided by R, so f is monotone,
+    submodular and the same on every call.  Node u's mask has bit r*w + v
+    set when u reaches v in sample r, with w the node count rounded up to
+    whole bytes so the per-sample blocks concatenate as bytes.
     """
 
-    deterministic = False
-
-    def __init__(self, inst: InfluenceInstance, rng=None, crn_seed=None):
-        self.inst = inst
-        self.n = inst.n
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.crn_seed = crn_seed
+    def __init__(self, inst: InfluenceInstance, rng):
+        n, self.samples = inst.n, inst.simulations
+        edges = [(u, t, p) for u, out in enumerate(inst.social_graph.adjacency)
+                 for (t, p, _w) in out]
+        live = rng.random((self.samples, len(edges))) < np.array([e[2] for e in edges])
+        per_sample = []
+        for row in live.tolist():
+            kept = [(u, t) for (u, t, _p), on in zip(edges, row) if on]
+            reach = [1 << v for v in range(n)]
+            changed = True
+            while changed:  # until every node holds its whole reachable set
+                changed = False
+                for u, t in kept:
+                    if reach[t] & ~reach[u]:
+                        reach[u] |= reach[t]
+                        changed = True
+            per_sample.append(reach)
+        nbytes = (n + 7) // 8
+        super().__init__(int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in xs),
+                                        "little") for xs in zip(*per_sample))
 
     def __call__(self, bits) -> float:
-        return ic_spread(self.inst, bits, self.rng, crn_seed=self.crn_seed)
-
-
-def ic_spread(inst: InfluenceInstance, bits, rng, crn_seed=None) -> float:
-    """Monte-Carlo estimate of the expected number of activated nodes."""
-    bits = bits.bits if hasattr(bits, "bits") else bits
-    seeds = np.flatnonzero(bits)
-    if seeds.size == 0:
-        return 0.0
-    total = 0
-    for sim in range(inst.simulations):
-        sim_rng = substream(crn_seed, "ic", sim) if crn_seed is not None else rng
-        total += _cascade(inst, seeds, sim_rng)
-    return total / inst.simulations
-
-
-def _cascade(inst, seeds, rng) -> int:
-    """One cascade: every newly activated node gets one activation attempt
-    per inactive out-neighbor."""
-    active = np.zeros(inst.n, dtype=bool)
-    active[seeds] = True
-    frontier = list(seeds)
-    count = seeds.size
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            targets = inst._targets[u]
-            if targets.size == 0:
-                continue
-            hit = rng.random(targets.size) < inst._probs[u]
-            for v in targets[hit]:
-                if not active[v]:
-                    active[v] = True
-                    next_frontier.append(v)
-                    count += 1
-        frontier = next_frontier
-    return count
+        return super().__call__(bits) / self.samples
 
 
 def bfs_reachable(graph: DirectedGraph, seeds) -> int:

@@ -16,9 +16,9 @@ from dynsel.cli import main as cli_main
 from dynsel.core import Solution, phi_ratio, substream
 from dynsel.dynamics import gen_schedule, read_run_csv, run_dynamic
 from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             InfluenceInstance, bfs_reachable, gen_ba_graph,
-                             gen_random_digraph, ic_spread, outdegree_cost,
-                             random_linear_cost)
+                             IcSpreadObjective, InfluenceInstance,
+                             bfs_reachable, gen_ba_graph, gen_random_digraph,
+                             outdegree_cost, random_linear_cost)
 from dynsel.theory import (bipartite_decrease_trace, knapsack_increase_trace,
                            pomc_phi_trial)
 
@@ -252,7 +252,7 @@ def test_criterion_8_trend_reproduction():
 
 
 def test_criterion_9_ic_estimator_exactness():
-    """With all edge probabilities 1, the cascade estimate equals BFS
+    """With all edge probabilities 1, the live-edge spread equals BFS
     reachability exactly on 50 random digraphs."""
     rng = substream(9, "c9")
     run_rng = substream(10, "c9-run")
@@ -266,7 +266,7 @@ def test_criterion_9_ic_estimator_exactness():
         k = int(rng.integers(1, 4))
         seeds = rng.choice(n, size=min(k, n), replace=False).tolist()
         bits = Solution.from_indices(n, seeds).bits
-        got = ic_spread(inst, bits, run_rng)
+        got = IcSpreadObjective(inst, run_rng)(bits)
         ok = ok and got == bfs_reachable(graph, seeds)
         checked += 1
     report(9, "IC estimator exactness", ok and checked == 50,

@@ -321,6 +321,14 @@ class TestEamc:
         assert list(e.bins) == [0]
         assert e.answer().size() == 0
 
+    def test_zero_budget_with_zero_cost_element(self):
+        # g's exp(-alpha * c / B) is 0 / 0 for a zero-cost member at B = 0
+        f = LinearObjective([1.0, 2.0, 3.0])
+        e = self.make(f, LinearCost([0.0, 1.0, 1.0]), budget=0.0)
+        e.run(200)
+        assert e.answer_value() == (1.0, 0.0)
+        assert _eamc_g(1.0, 0.0, 1, 1.0, 0.0) == math.inf
+
     def test_population_cap_and_feasibility(self, g3_objective):
         n = 12
         f = CoverageInstance(gen_random_digraph(n, 0.2, substream(1, "ec"))).objective

@@ -1,10 +1,13 @@
+import configparser
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dynsel.cli import main
+from dynsel.cli import build_instance, main
+from dynsel.core import substream
 from dynsel.dynamics import load_schedule, read_run_csv
 from dynsel.problems import load_edge_list
 
@@ -200,12 +203,84 @@ class TestAnalyze:
         for matrix in sig["matrices"].values():
             assert len(matrix) == 2 and len(matrix[0]) == 2
 
+    def test_baseline_raised_to_beating_answers(self, tmp_path):
+        # pomc:0 keeps only the empty set, so every gga answer (f = 3 at
+        # every budget of G3) beats it
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=3)
+        run_cli("run", "--config", config)
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--baseline", "pomc:0") == 0
+        with open(tmp_path / "results" / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["mean"]) for row in rows] == [0.0]
+        sig = json.loads(
+            (tmp_path / "results" / "report.significance.json").read_text())
+        assert sig["negative_errors"] == 2 * 4  # 2 seeds x 4 records
+
     def test_pomc_baseline_spec(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga", seeds="1",
                               tau=0, count=2)
         run_cli("run", "--config", config)
         assert run_cli("analyze", "--results", tmp_path / "results",
                        "--baseline", "pomc:2000") == 0
+
+
+class TestInfluence:
+    CONFIG = """
+[instance]
+kind = influence
+generator = digraph
+n = 10
+p = 0.3
+edge_prob = 0.3
+simulations = 30
+seed = 4
+
+[cost]
+variant = cardinality
+
+[schedule]
+binit = 3
+bmin = 2
+bmax = 5
+r = 1
+count = 4
+tau = 40
+seed = 0
+
+[run]
+algorithms = gga,pomc,eamc
+seeds = 2
+output = results
+"""
+
+    def write(self, tmp_path):
+        (tmp_path / "config.ini").write_text(self.CONFIG)
+        return tmp_path / "config.ini"
+
+    def test_objective_is_a_fixed_function(self, tmp_path):
+        config = self.write(tmp_path)
+        cfg = configparser.ConfigParser()
+        cfg.read(config)
+        f1, _c, _meta = build_instance(cfg, tmp_path)
+        f2, _c, _meta = build_instance(cfg, tmp_path)
+        draws = substream(0, "fixed").random((50, 10)) < 0.4
+        for bits in draws.astype(np.uint8):
+            value = f1(bits)
+            assert value == f2(bits) == f1(bits)
+
+    def test_run_and_brute_force_analyze(self, tmp_path):
+        config = self.write(tmp_path)
+        assert run_cli("run", "--config", config) == 0
+        results = tmp_path / "results"
+        assert run_cli("analyze", "--results", results) == 0
+        with open(results / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(row["algorithm"] for row in rows) == ["eamc", "gga", "pomc"]
+        assert all(float(row["mean"]) >= 0 for row in rows)
+        sig = json.loads((results / "report.significance.json").read_text())
+        assert sig["negative_errors"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,21 @@ class TestSchedules:
         with pytest.raises(ValueError):
             gen_schedule(31, 5, 30, 1, 10, 100, substream(0, "b"))
 
+    def test_negative_b_min_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="b_min"):
+            BudgetSchedule(b_init=0.0, b_min=-1.0, b_max=3.0, deltas=[0.5],
+                           tau=1, r=0.5)
+        with pytest.raises(ValueError, match="b_min"):
+            gen_schedule(0, -1, 3, 0.5, 10, 100, substream(0, "neg"))
+        with pytest.raises(ValueError, match="b_min"):
+            preset_schedule("random-cost", substream(0, "neg"), count=10,
+                            b_min=-0.5)
+        path = tmp_path / "sched.txt"
+        path.write_text("binit=0.0\nbmin=-1.0\nbmax=3.0\nr=0.5\ntau=10\n"
+                        "seed=\n-0.5\n")
+        with pytest.raises(ValueError, match="b_min"):
+            load_schedule(path)
+
     def test_save_load_round_trip(self, tmp_path):
         s = preset_schedule("random-cost", substream(3, "rt"), count=20,
                             tau=500, seed=3)
