@@ -12,8 +12,11 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
+import platform
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,17 +296,21 @@ def cmd_run(args) -> int:
     cfg_hash = _config_hash(config_path.read_text())
     files = []
     failed = []
+    wall_s = {}
     for seed in seeds:
         schedule = build_schedule(cfg, base_dir, seed)
         if schedule.r:
             params.setdefault("delta_cap", schedule.r)
         for alg in algorithms:
             run_id = f"{alg}_s{seed}"
+            start = time.perf_counter()
             try:
                 records = run_dynamic(alg, f, c, schedule, seed, params=params)
             except Exception as exc:  # noqa: BLE001 - flag truncated run, keep going
                 failed.append((run_id, str(exc)))
                 continue
+            finally:
+                wall_s[run_id] = round(time.perf_counter() - start, 6)
             path = out_dir / f"{run_id}.csv"
             write_run_csv(path, run_id, seed, records)
             files.append(path.name)
@@ -316,6 +323,10 @@ def cmd_run(args) -> int:
         "cost_variant": meta.get("cost_variant", ""),
         "files": files,
         "failed": failed,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "wall_s": wall_s,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     if failed:
@@ -331,12 +342,23 @@ def cmd_run(args) -> int:
 
 
 def _parse_intervals(spec, total):
+    """Parse `lo-hi,...` (1-indexed, inclusive; `k` alone means `k-k`) and
+    check every interval lies within the `total` changes."""
     if not spec:
         return [(1, total)]
     out = []
     for part in spec.split(","):
-        lo, _, hi = part.partition("-")
-        out.append((int(lo), int(hi)))
+        lo, sep, hi = part.strip().partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if sep else lo
+        except ValueError:
+            raise ValueError(
+                f"--intervals: {part!r} is not of the form lo-hi or k") from None
+        if not 1 <= lo <= hi <= total:
+            raise ValueError(f"--intervals: {part!r} is not an interval "
+                             f"lo <= hi within 1-{total}")
+        out.append((lo, hi))
     return out
 
 
@@ -364,11 +386,11 @@ def cmd_analyze(args) -> int:
         by_alg.setdefault(alg, {})[seed] = records
     if not by_alg:
         raise ValueError("no run files found")
+    total = max(len(r) for runs in by_alg.values() for r in runs.values())
+    intervals = _parse_intervals(args.intervals, total)
     baseline, negatives = observed_baseline(
         baseline, [r for runs in by_alg.values() for r in runs.values()])
     algorithms = sorted(by_alg)
-    total = max(len(r) for runs in by_alg.values() for r in runs.values())
-    intervals = _parse_intervals(args.intervals, total)
 
     sched_sec = cfg["schedule"] if cfg.has_section("schedule") else {}
     r_val = sched_sec.get("r", "")
@@ -498,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--baseline", default="brute-force",
                      help="`brute-force` or `pomc:<evals>`")
     ana.add_argument("--intervals", default="",
-                     help="e.g. `1-50,51-100,101-150,151-200`")
+                     help="e.g. `1-50,51-100,101-150,151-200`; `k` means `k-k`")
     ana.add_argument("--alpha", type=float, default=0.05)
     ana.add_argument("--out")
     ana.set_defaults(func=cmd_analyze)

@@ -17,8 +17,6 @@ from itertools import compress
 from operator import or_
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .core import CostFn, ObjectiveFn
 
@@ -80,10 +78,16 @@ class DirectedGraph:
         return total // 2 if not self.directed else total
 
     def edge_list(self):
-        """Edges as stored; undirected edges reported once (u <= v)."""
+        """Edges as stored; undirected edges reported once (u <= v).  An
+        undirected self-loop is stored twice, so every second copy is skipped."""
         out = []
         for u, edges in enumerate(self.adjacency):
+            loops = 0
             for (t, p, w) in edges:
+                if u == t and not self.directed:
+                    loops += 1
+                    if loops % 2 == 0:
+                        continue
                 if self.directed or u <= t:
                     out.append((u, t, p, w))
         return out
@@ -318,6 +322,11 @@ class RoutingCost(CostFn):
 
     def _distances(self):
         if self._dist is None:
+            # imported here, not at module level: only routing needs scipy,
+            # and loading it would slow the start of every other command
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import dijkstra
+
             g = self.inst.routing_graph
             rows, cols, data = [], [], []
             for (u, v, _p, w) in g.edge_list():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dynsel.algorithms import Pomc, brute_force_front
-from dynsel.analysis import (ErrorSeries, bonferroni_posthoc,
+from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              brute_force_baseline, check_phi_approx,
-                             curvature, format_marks, kruskal_wallis,
-                             offline_errors, partial_offline_error,
-                             submodularity_ratio)
+                             chi2_sf, curvature, format_marks,
+                             kruskal_wallis, norm_sf, offline_errors,
+                             partial_offline_error, submodularity_ratio)
 from dynsel.core import substream
 from dynsel.dynamics import BudgetSchedule, run_dynamic
 from dynsel.problems import (CardinalityCost, CoverageInstance,
@@ -56,6 +56,48 @@ class TestOfflineErrors:
         series = offline_errors(records, brute_force_baseline(f, c), "bf")
         assert (series.errors >= 0).all()
         assert len(series) == len(records)
+
+
+# ---------------------------------------------------------------------------
+# closed-form distributions and ranks, cross-checked against scipy
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("df", range(1, 11))
+    def test_chi2_sf_matches_scipy(self, df):
+        from scipy.stats import chi2
+
+        xs = [0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5, df, 7.0, 20.0,
+              50.0, 120.0, 300.0, 700.0]
+        for x in xs:
+            ref = chi2.sf(x, df)
+            assert ref > 0
+            assert abs(chi2_sf(x, df) - ref) <= 1e-12 * ref, x
+        assert chi2_sf(0.0, df) == 1.0
+
+    def test_chi2_sf_rejects_bad_df(self):
+        for df in (0, -1, 2.5):
+            with pytest.raises(ValueError):
+                chi2_sf(1.0, df)
+
+    def test_norm_sf_matches_scipy(self):
+        from scipy.stats import norm
+
+        for z in np.concatenate([np.linspace(-8, 8, 161), [0.0, 1e-9, 12, 20, 30]]):
+            ref = norm.sf(z)
+            assert abs(norm_sf(z) - ref) <= 1e-12 * ref, z
+
+    def test_ranks_match_scipy_with_heavy_ties(self):
+        from scipy.stats import rankdata
+
+        rng = substream(5, "ranks")
+        for _ in range(300):
+            size = int(rng.integers(1, 60))
+            values = rng.integers(0, int(rng.integers(1, 6)), size=size) * 0.5
+            ranks, tie_sum = _ranks(values)
+            assert np.array_equal(ranks, rankdata(values))
+            _uniq, counts = np.unique(values, return_counts=True)
+            assert tie_sum == float((counts**3 - counts).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import configparser
 import csv
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dynsel import cli
 from dynsel.cli import build_instance, main
 from dynsel.core import substream
 from dynsel.dynamics import load_schedule, read_run_csv
@@ -133,6 +136,19 @@ class TestRun:
         assert "config_hash" in manifest and manifest["version"]
         assert (results / "config.ini").exists()
 
+    def test_manifest_records_host_and_wall_time(self, tmp_path):
+        config = write_config(tmp_path, algorithms="gga,eamc", seeds="2")
+        run_cli("run", "--config", config)
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["files"] == ["gga_s0.csv", "eamc_s0.csv",
+                                     "gga_s1.csv", "eamc_s1.csv"]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert sorted(manifest["wall_s"]) == ["eamc_s0", "eamc_s1",
+                                              "gga_s0", "gga_s1"]
+        assert all(t >= 0 for t in manifest["wall_s"].values())
+
     def test_grid_emits_one_csv_per_run(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga,adgga,pomc", seeds="3")
         run_cli("run", "--config", config)
@@ -181,6 +197,32 @@ class TestAnalyze:
                           "mean", "std", "marks"]
         assert sorted({row[3] for row in rows}) == ["1-3", "4-6", "7-9"]
         assert len(rows) == 3 * 2  # intervals x algorithms
+
+    def test_single_change_interval(self, tmp_path):
+        config = write_config(tmp_path, algorithms="gga,eamc", seeds="2",
+                              tau=5, count=8)
+        run_cli("run", "--config", config)
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--intervals", "3,1-9") == 0
+        with open(tmp_path / "results" / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["interval"] for row in rows] == ["3-3"] * 2 + ["1-9"] * 2
+
+    @pytest.mark.parametrize("spec", ["4-2", "5-99", "0-3", "x", "3-", ""])
+    def test_bad_interval_fails_before_any_baseline(self, tmp_path,
+                                                    monkeypatch, spec):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=8)
+        run_cli("run", "--config", config)
+        budgets = []
+        monkeypatch.setattr(cli, "brute_force_baseline",
+                            lambda f, c: budgets.append)
+        with pytest.raises(ValueError, match="--intervals") as err:
+            run_cli("analyze", "--results", tmp_path / "results",
+                    "--intervals", f"1-3,{spec}")
+        assert repr(spec) in str(err.value)
+        assert budgets == []
+        assert not (tmp_path / "results" / "report.csv").exists()
 
     def test_brute_force_baseline_non_negative_means(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga,eamc", seeds="2",

@@ -1,0 +1,56 @@
+"""Start-up cost: importing the package and its CLI loads neither scipy nor
+networkx; routing loads scipy's shortest paths on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dynsel
+
+SRC = str(Path(dynsel.__file__).resolve().parent.parent)
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def heavy_modules(names):
+    return sorted(m for m in names if m.split(".")[0] in ("scipy", "networkx"))
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    loaded = run_python(
+        "import json, sys\n"
+        "import dynsel, dynsel.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert "dynsel.cli" in loaded
+    assert heavy_modules(loaded) == []
+
+
+def test_routing_cost_loads_shortest_paths_lazily():
+    result = run_python(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from dynsel.core import substream\n"
+        "from dynsel.problems import InfluenceInstance, RoutingCost, gen_er_graph\n"
+        "g = gen_er_graph(12, 0.4, substream(5, 'route'))\n"
+        "c = RoutingCost(InfluenceInstance(g, routing_graph=g))\n"
+        "before = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "values = []\n"
+        "for sel in ([], [3], [0, 11], [1, 4, 7, 9], list(range(12))):\n"
+        "    bits = np.zeros(12, dtype=np.uint8)\n"
+        "    bits[sel] = 1\n"
+        "    values.append(c(bits))\n"
+        "print(json.dumps({'before': before, 'values': values,\n"
+        "                  'after': 'scipy.sparse.csgraph' in sys.modules}))\n")
+    assert result["before"] == []
+    assert result["after"]
+    # the values RoutingCost gave when scipy was imported at module level
+    assert result["values"] == [0.0, 0.1, 0.9457514910307736, 2.4416941306733326,
+                                5.735804787583736]

@@ -332,6 +332,13 @@ class TestEdgeList:
         assert np.allclose(back.positions, g.positions)
         assert back.edge_list() == g.edge_list()
 
+    def test_undirected_self_loop_listed_once(self, tmp_path):
+        g = DirectedGraph.from_edges(2, [(0, 0), (0, 1)], directed=False)
+        assert g.edge_list() == [(0, 0, 1.0, None), (0, 1, 1.0, None)]
+        path = tmp_path / "loop.edges"
+        save_edge_list(g, path)
+        assert load_edge_list(path).adjacency == g.adjacency
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noh.edges"
         path.write_text("0 1\n")
