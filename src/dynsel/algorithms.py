@@ -1,7 +1,8 @@
 """The five solvers plus exhaustive oracles.
 
 Greedy (GGA) and its adaptive variant (AdGGA) are per-budget procedures
-that draw no random numbers and count every f call.  POMC, EAMC and NSGA-II
+that draw no random numbers and count every evaluation of their scans, also
+one read from an earlier scan.  POMC, EAMC and NSGA-II
 are iterative and share one protocol: `set_budget(b)` applies a dynamic change,
 `run(evals)` spends exactly `evals` evaluations, and `answer_value(budget)`
 reads the best stored (f, cost) within a bound (the current one by default).
@@ -29,13 +30,18 @@ class NoFeasibleMemberError(RuntimeError):
 BRUTE_FORCE_CAP = 24
 
 
-def evaluate(f, c, bits, counter, cutoff):
+def evaluate(f, c, bits, counter, cutoff, known=None):
     """One counted evaluation: c first, then f only when cost <= cutoff.
 
     Returns (f or NEG_INF, cost).  The cutoff is B + 1 for POMC's
-    bi-objective reformulation, B for EAMC and +inf for NSGA-II.
+    bi-objective reformulation, B for EAMC and +inf for NSGA-II.  `known`
+    is the stored (f, cost) of a vector equal to `bits`: the evaluation is
+    still counted and cut off, but answered without calling f or c.
     """
     counter.increment()
+    if known is not None:
+        fval, cost = known
+        return (NEG_INF if cost > cutoff else fval), cost
     cost = float(c(bits))
     if cost > cutoff:
         return NEG_INF, cost
@@ -111,58 +117,87 @@ def knapsack_opt_value(instance, budget) -> float:
 # greedy
 
 
-def _best_feasible_singleton(f, c, budget, n, counter):
-    """argmax f(v) over singletons with c(v) <= budget; None if none feasible."""
+def _scan(f, c, x, candidates):
+    """(f, c) of x + v for each v in `candidates`, leaving x as it was.
+
+    Uncounted: the caller charges one evaluation per pair it uses.
+    """
+    out = []
+    for v in candidates:
+        x[v] = 1
+        cv = float(c(x))
+        out.append((float(f(x)), cv))
+        x[v] = 0
+    return out
+
+
+def _best_feasible_singleton(singletons, budget, counter):
+    """argmax f(v) over singletons with c(v) <= budget; None if none feasible.
+
+    `singletons[v]` is the stored (f, c) of {v}; each feasible one is charged
+    one evaluation.
+    """
     best_v, best_val = None, NEG_INF
-    bits = np.zeros(n, dtype=np.uint8)
-    for v in range(n):
-        bits[v] = 1
-        if float(c(bits)) <= budget:
+    for v, (fv, cv) in enumerate(singletons):
+        if cv <= budget:
             counter.increment()
-            val = float(f(bits))
-            if val > best_val:
-                best_v, best_val = v, val
-        bits[v] = 0
+            if fv > best_val:
+                best_v, best_val = v, fv
     return best_v, best_val
 
 
 def _greedy_extend(f, c, x_bits, budget, counter):
     """Alg. 1 body: scan V', add the argmax marginal-ratio element when
-    feasible, and drop the argmax from V' regardless of feasibility."""
+    feasible, and drop the argmax from V' regardless of feasibility.
+
+    Every round is charged one evaluation per element of V', as in a full
+    rescan.  While x is unchanged (the argmax was infeasible), a rescan would
+    return the same (f, c) for every remaining element, so f and c are only
+    called again after an element is added.  Ties go to the lowest element
+    index either way.  Returns (x, f(x), first scan), the first scan being
+    the (f, c) of x_bits + v for every v in V' in index order; from the
+    empty set, these are the singletons.
+    """
     x = x_bits.copy()
-    remaining = list(np.flatnonzero(x == 0))
+    remaining = np.flatnonzero(x == 0).tolist()
     cx = float(c(x))
     counter.increment()
     fx = float(f(x))
+    first = scan = None
     while remaining:
+        if scan is None:
+            scan = _scan(f, c, x, remaining)
+            if first is None:
+                first = scan[:]
+            ratios = []
+            for fv, cv in scan:
+                dc = cv - cx
+                gain = fv - fx
+                ratios.append((POS_INF if gain > 0 else 0.0) if dc == 0
+                              else gain / dc)
+        counter.increment(len(remaining))
         best_i, best_ratio = None, NEG_INF
-        best_fv = best_cv = None
-        for i, v in enumerate(remaining):
-            x[v] = 1
-            cv = float(c(x))
-            counter.increment()
-            fv = float(f(x))
-            x[v] = 0
-            dc = cv - cx
-            gain = fv - fx
-            ratio = (POS_INF if gain > 0 else 0.0) if dc == 0 else gain / dc
+        for i, ratio in enumerate(ratios):
             if ratio > best_ratio:  # ties: lowest element index wins
                 best_i, best_ratio = i, ratio
-                best_fv, best_cv = fv, cv
         v = remaining.pop(best_i)
+        best_fv, best_cv = scan.pop(best_i)
+        del ratios[best_i]
         if best_cv <= budget:
             x[v] = 1
             fx, cx = best_fv, best_cv
-    return x, fx
+            scan = None
+    return x, fx, first or []
 
 
 def gga(f, c, budget, counter=None) -> Solution:
     """Generalized greedy: ratio-greedy fill, then compare with the best
-    feasible singleton."""
+    feasible singleton, read from the fill's first scan."""
     counter = counter if counter is not None else EvalCounter()
     n = f.n
-    x, fx = _greedy_extend(f, c, np.zeros(n, dtype=np.uint8), budget, counter)
-    v, fv = _best_feasible_singleton(f, c, budget, n, counter)
+    x, fx, singletons = _greedy_extend(f, c, np.zeros(n, dtype=np.uint8),
+                                       budget, counter)
+    v, fv = _best_feasible_singleton(singletons, budget, counter)
     if v is not None and fv > fx:
         return Solution.from_indices(n, [v])
     return Solution(x)
@@ -174,7 +209,9 @@ class AdaptiveGreedy:
     Decreases strip the argmin marginal-ratio element until feasible;
     increases greedily extend over the unselected elements.  The returned
     answer is the better of the working set and the best feasible singleton,
-    but the singleton never overwrites the internal state.
+    but the singleton never overwrites the internal state.  Singleton values
+    do not depend on the budget, so they are computed once and each answer
+    charges one evaluation per feasible singleton.
     """
 
     def __init__(self, f, c, budget, initial: Solution | None = None, counter=None):
@@ -182,11 +219,13 @@ class AdaptiveGreedy:
         self.c = c
         self.budget = float(budget)
         self.counter = counter if counter is not None else EvalCounter()
+        zeros = np.zeros(f.n, dtype=np.uint8)
         if initial is None:
-            self.x, _ = _greedy_extend(f, c, np.zeros(f.n, dtype=np.uint8),
-                                       self.budget, self.counter)
+            self.x, _, self._singletons = _greedy_extend(
+                f, c, zeros, self.budget, self.counter)
         else:
             self.x = initial.bits.copy()
+            self._singletons = _scan(f, c, zeros, range(f.n))
 
     def _shrink(self, new_budget):
         x = self.x
@@ -220,15 +259,15 @@ class AdaptiveGreedy:
         if new_budget < self.budget:
             self._shrink(new_budget)
         elif new_budget > self.budget:
-            self.x, _ = _greedy_extend(self.f, self.c, self.x, new_budget,
-                                       self.counter)
+            self.x, _, _ = _greedy_extend(self.f, self.c, self.x, new_budget,
+                                          self.counter)
         self.budget = new_budget
         return self.answer()
 
     def answer(self) -> Solution:
         self.counter.increment()
         fx = float(self.f(self.x))
-        v, fv = _best_feasible_singleton(self.f, self.c, self.budget, self.f.n,
+        v, fv = _best_feasible_singleton(self._singletons, self.budget,
                                          self.counter)
         if v is not None and fv > fx:
             return Solution.from_indices(self.f.n, [v])
@@ -284,7 +323,15 @@ class Pomc:
     def run(self, evals: int) -> None:
         """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
         and one evaluation (f1 = -inf iff cost > budget + 1); random draws
-        are taken in chunks."""
+        are taken in chunks.
+
+        A child whose mutation flips no bit equals its parent.  Its
+        evaluation is still counted and cut off at the current bound, but
+        answered from the parent's stored vector: f of a stored member is
+        always finite, since a cost-0 member dominates every -inf child.
+        The parent's array itself is inserted (members are never written),
+        so the archive reorders exactly as for a fresh copy.
+        """
         n, rate = self.n, 1.0 / self.n
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
         insert = self._insert
@@ -295,10 +342,15 @@ class Pomc:
             sel = rng_random(chunk).tolist()
             mut = rng_random((chunk, n))
             flips = mut < rate
+            flipped = flips.any(axis=1).tolist()
             for j in range(chunk):
                 bits = self._bits
-                child = bits[int(sel[j] * len(bits))] ^ flips[j]
-                f1, cost = evaluate(f, c, child, counter, cutoff)
+                k = int(sel[j] * len(bits))
+                if flipped[j]:
+                    child, known = bits[k] ^ flips[j], None
+                else:
+                    child, known = bits[k], (self._f1[k], -self._f2[k])
+                f1, cost = evaluate(f, c, child, counter, cutoff, known)
                 insert(child, f1, -cost)
             done += chunk
 
@@ -384,12 +436,20 @@ class Eamc:
         return _eamc_g(fval, cost, size, self.alpha, self.budget)
 
     def step(self) -> None:
+        """One offspring; a zero-flip child is answered from its parent's
+        stored (f, cost), as in `Pomc.run`."""
         i = int(self.rng.integers(len(self._members)))
-        child = self._members[i][0] ^ (self.rng.random(self.n) < 1.0 / self.n)
-        fval, cost = evaluate(self.f, self.c, child, self.counter, self.budget)
+        flips = self.rng.random(self.n) < 1.0 / self.n
+        parent, pf, pcost = self._members[i]
+        if flips.any():
+            child, known = parent ^ flips, None
+        else:
+            child, known = parent, (pf, pcost)
+        fval, cost = evaluate(self.f, self.c, child, self.counter, self.budget,
+                              known)
         if cost > self.budget:
             return
-        size = int(child.sum())
+        size = int(np.count_nonzero(child))
         entry = (child, fval, cost)
         slot = self.bins.get(size)
         if slot is None:
@@ -566,8 +626,9 @@ class Nsga2:
                 ind.c_raw + (self.n * self.c_max + 1.0) * h)
 
     def _tournament(self):
-        a, b = self.rng.integers(self.pop_size, size=2)
-        pa, pb = self.parents[int(a)], self.parents[int(b)]
+        # two scalar draws yield the same values as one size-2 draw, faster
+        pa = self.parents[int(self.rng.integers(self.pop_size))]
+        pb = self.parents[int(self.rng.integers(self.pop_size))]
         if pa.rank != pb.rank:
             return pa if pa.rank < pb.rank else pb
         return pa if pa.crowding >= pb.crowding else pb
@@ -579,9 +640,9 @@ class Nsga2:
             p1, p2 = self._tournament(), self._tournament()
             if self.rng.random() < self.crossover_rate:
                 take = self.rng.random(self.n) < 0.5
-                child = np.where(take, p1.bits, p2.bits).astype(np.uint8)
+                child = np.where(take, p1.bits, p2.bits)  # uint8, as both parents
             else:
-                child = p1.bits.copy()
+                child = p1.bits  # not written: the XOR below makes a new array
             child = child ^ (self.rng.random(self.n) < rate)
             out.append(_Individual(
                 child, *evaluate(self.f, self.c, child, self.counter, POS_INF)))

@@ -101,13 +101,17 @@ class CostFn:
 
 
 class EvalCounter:
-    """Counts objective evaluations; cache hits must not increment."""
+    """Counts objective evaluations, the unit of the experimental budget.
+
+    Every counted evaluation increments once, also one answered from stored
+    values (a zero-flip offspring, a reused greedy scan) without calling f.
+    """
 
     def __init__(self):
         self.count = 0
 
-    def increment(self) -> None:
-        self.count += 1
+    def increment(self, k: int = 1) -> None:
+        self.count += k
 
 
 def phi_ratio(alpha: float) -> float:

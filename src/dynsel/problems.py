@@ -18,7 +18,7 @@ from operator import or_
 
 import numpy as np
 
-from .core import CostFn, ObjectiveFn
+from .core import POS_INF, CostFn, ObjectiveFn
 
 
 class GraphParseError(ValueError):
@@ -281,7 +281,7 @@ class LinearCost(CostFn):
         self.min_increment = float(positive.min()) if positive.size else 0.0
 
     def __call__(self, bits) -> float:
-        return float(self.weights @ bits)
+        return float(self.weights.dot(bits))
 
 
 def random_linear_cost(n, rng) -> LinearCost:
@@ -328,14 +328,16 @@ class RoutingCost(CostFn):
             from scipy.sparse.csgraph import dijkstra
 
             g = self.inst.routing_graph
-            rows, cols, data = [], [], []
+            shortest = {}  # (u, v) -> lightest parallel edge; csr_matrix would sum them
             for (u, v, _p, w) in g.edge_list():
                 if w is None:
                     raise ValueError("routing edges must carry weights")
-                rows.append(u)
-                cols.append(v)
-                data.append(w)
-            mat = csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+                if w < shortest.get((u, v), POS_INF):
+                    shortest[u, v] = w
+            rows = [u for (u, _v) in shortest]
+            cols = [v for (_u, v) in shortest]
+            mat = csr_matrix((list(shortest.values()), (rows, cols)),
+                             shape=(g.n, g.n))
             self._dist = dijkstra(mat, directed=g.directed)
         return self._dist
 

@@ -266,6 +266,134 @@ class TestPomc:
 
 
 # ---------------------------------------------------------------------------
+# zero-flip offspring: counted, but answered from the parent's stored values
+
+
+class Calls:
+    """Wraps f or c and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.n = fn.n
+        self.calls = 0
+
+    def __call__(self, bits):
+        self.calls += 1
+        return self.fn(bits)
+
+
+class MaskSpy:
+    """Passes random draws through and counts the 1-d mutation masks of
+    length n that flip no bit (EAMC draws one such mask per offspring)."""
+
+    def __init__(self, rng, n):
+        self.rng = rng
+        self.n = n
+        self.zero_flips = 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        if size == self.n:
+            self.zero_flips += not (out < 1.0 / self.n).any()
+        return out
+
+
+class ScriptedRng:
+    """POMC draws: every parent selection returns `sel`, every mutation mask
+    flips nothing."""
+
+    def __init__(self, sel):
+        self.sel = sel
+
+    def random(self, size):
+        if isinstance(size, tuple):
+            return np.full(size, 0.99)
+        return np.full(size, self.sel)
+
+
+def _pomc_zero_flips(seed, k, n):
+    rng = substream(seed, "zero-flip")
+    rng.random(k)
+    return int((~(rng.random((k, n)) < 1.0 / n).any(axis=1)).sum())
+
+
+class TestZeroFlip:
+    N = 8
+
+    def instance(self):
+        g = gen_random_digraph(self.N, 0.3, substream(2, "zero-flip"))
+        f = CoverageInstance(g).objective
+        c = random_linear_cost(self.N, substream(3, "zero-flip"))
+        return Calls(f), Calls(c)
+
+    @pytest.mark.parametrize("budget", [0.5, 1.5, 4.0])
+    def test_pomc_counts_every_child_and_skips_f_on_zero_flips(self, budget):
+        f, c = self.instance()
+        k = 1500
+        p = Pomc(f, c, budget, substream(11, "zero-flip"))
+        zero = _pomc_zero_flips(11, k, self.N)
+        base, f0, c0 = p.counter.count, f.calls, c.calls
+        p.run(k)
+        assert zero > k // 4  # (1 - 1/8)^8 ~ 0.34 of the children
+        assert p.counter.count - base == k
+        assert c.calls - c0 == k - zero
+        assert f.calls - f0 <= k - zero
+        p.check_invariants()
+
+    @pytest.mark.parametrize("budget", [0.5, 1.5, 4.0])
+    def test_eamc_counts_every_child_and_skips_f_on_zero_flips(self, budget):
+        f, c = self.instance()
+        k = 1500
+        spy = MaskSpy(substream(12, "zero-flip"), self.N)
+        e = Eamc(f, c, budget, spy)
+        base, f0, c0 = e.counter.count, f.calls, c.calls
+        e.run(k)
+        assert spy.zero_flips > k // 4
+        assert e.counter.count - base == k
+        assert c.calls - c0 == k - spy.zero_flips
+        assert f.calls - f0 <= k - spy.zero_flips
+        e.check_invariants()
+
+    def front_pomc(self):
+        """POMC holding the whole front of values (1, 2, 4) under
+        cardinality cost: {} , {2}, {1,2}, {0,1,2} at costs 0..3."""
+        f, c = Calls(LinearObjective([1.0, 2.0, 4.0])), Calls(CardinalityCost(3))
+        p = Pomc(f, c, 3.0, substream(13, "zero-flip"))
+        p.run(400)
+        assert sorted(zip(p._f1, p._f2)) == [(0.0, 0.0), (4.0, -1.0),
+                                             (6.0, -2.0), (7.0, -3.0)]
+        return p, f, c
+
+    def test_pomc_stale_parent_child_is_cut_off(self):
+        p, f, c = self.front_pomc()
+        p.set_budget(1.0)  # cutoff B + 1 = 2 < cost 3 of the full set
+        i = p._f2.index(-3.0)
+        p.rng = ScriptedRng((i + 0.5) / len(p))
+        before = list(zip(p._f1, p._f2))
+        base, f0, c0 = p.counter.count, f.calls, c.calls
+        p.run(1)
+        # a stored f of 7 would have replaced the parent and moved it last
+        assert list(zip(p._f1, p._f2)) == before
+        assert p.counter.count - base == 1
+        assert (f.calls - f0, c.calls - c0) == (0, 0)
+
+    def test_pomc_zero_flip_child_replaces_its_parent(self):
+        p, f, c = self.front_pomc()
+        p.set_budget(1.0)  # cost 2 is still within B + 1
+        i = p._f2.index(-2.0)
+        p.rng = ScriptedRng((i + 0.5) / len(p))
+        before = list(zip(p._f1, p._f2))
+        base, f0, c0 = p.counter.count, f.calls, c.calls
+        p.run(1)
+        assert list(zip(p._f1, p._f2)) == before[:i] + before[i + 1:] + [before[i]]
+        assert p.counter.count - base == 1
+        assert (f.calls - f0, c.calls - c0) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
 # EAMC
 
 

@@ -144,6 +144,14 @@ class TestCosts:
         c = RoutingCost(inst)
         assert c(bits_of(2, [0, 1])) == pytest.approx(1.2)
 
+    def test_routing_parallel_edges_take_the_lightest(self):
+        # a sparse matrix built from both copies would sum them to 3.0
+        g = DirectedGraph.from_edges(2, [(0, 1, 1.0, 1.0), (0, 1, 1.0, 2.0)],
+                                     directed=False)
+        inst = InfluenceInstance(g, routing_graph=g)
+        c = RoutingCost(inst)
+        assert c(bits_of(2, [0, 1])) == pytest.approx(1.2)
+
     def test_routing_uses_shortest_path(self):
         # direct edge 0-2 costs 5, via node 1 costs 2
         g = DirectedGraph.from_edges(
