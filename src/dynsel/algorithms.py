@@ -117,16 +117,50 @@ def knapsack_opt_value(instance, budget) -> float:
 # greedy
 
 
-def _scan(f, c, x, candidates):
+def _fc(f, c, x):
+    """(f(x), c(x)), calling c first as `evaluate` does."""
+    cost = float(c(x))
+    return float(f(x)), cost
+
+
+class ScanMemo:
+    """(f, c) of the vectors greedy scans saw at the current and the previous
+    budget change, keyed by `bits.tobytes()`.
+
+    Consecutive budgets differ by a few units, so a greedy restarted from
+    the empty set repeats most of the previous change's scans.  A hit saves
+    only the f and c calls: the caller still charges the evaluation.
+    Entries older than the previous change are dropped.
+    """
+
+    def __init__(self):
+        self.current, self.previous = {}, {}
+
+    def next_change(self) -> None:
+        self.previous, self.current = self.current, {}
+
+    def __call__(self, f, c, x):
+        key = x.tobytes()
+        fc = self.current.get(key)
+        if fc is None:
+            fc = self.previous.get(key)
+            if fc is None:
+                fc = _fc(f, c, x)
+            self.current[key] = fc
+        return fc
+
+
+def _scan(f, c, x, candidates, memo=None):
     """(f, c) of x + v for each v in `candidates`, leaving x as it was.
 
-    Uncounted: the caller charges one evaluation per pair it uses.
+    Uncounted: the caller charges one evaluation per pair it uses.  With a
+    `ScanMemo`, pairs it holds are read from it instead of f and c.
     """
+    value = _fc if memo is None else memo
     out = []
     for v in candidates:
         x[v] = 1
-        cv = float(c(x))
-        out.append((float(f(x)), cv))
+        out.append(value(f, c, x))
         x[v] = 0
     return out
 
@@ -146,7 +180,7 @@ def _best_feasible_singleton(singletons, budget, counter):
     return best_v, best_val
 
 
-def _greedy_extend(f, c, x_bits, budget, counter):
+def _greedy_extend(f, c, x_bits, budget, counter, memo=None):
     """Alg. 1 body: scan V', add the argmax marginal-ratio element when
     feasible, and drop the argmax from V' regardless of feasibility.
 
@@ -156,17 +190,16 @@ def _greedy_extend(f, c, x_bits, budget, counter):
     called again after an element is added.  Ties go to the lowest element
     index either way.  Returns (x, f(x), first scan), the first scan being
     the (f, c) of x_bits + v for every v in V' in index order; from the
-    empty set, these are the singletons.
+    empty set, these are the singletons.  `memo` is passed on to `_scan`.
     """
     x = x_bits.copy()
     remaining = np.flatnonzero(x == 0).tolist()
-    cx = float(c(x))
+    fx, cx = (_fc if memo is None else memo)(f, c, x)
     counter.increment()
-    fx = float(f(x))
     first = scan = None
     while remaining:
         if scan is None:
-            scan = _scan(f, c, x, remaining)
+            scan = _scan(f, c, x, remaining, memo)
             if first is None:
                 first = scan[:]
             ratios = []
@@ -190,13 +223,14 @@ def _greedy_extend(f, c, x_bits, budget, counter):
     return x, fx, first or []
 
 
-def gga(f, c, budget, counter=None) -> Solution:
+def gga(f, c, budget, counter=None, memo=None) -> Solution:
     """Generalized greedy: ratio-greedy fill, then compare with the best
-    feasible singleton, read from the fill's first scan."""
+    feasible singleton, read from the fill's first scan.  A `ScanMemo`
+    shared across budget changes answers repeated scans."""
     counter = counter if counter is not None else EvalCounter()
     n = f.n
     x, fx, singletons = _greedy_extend(f, c, np.zeros(n, dtype=np.uint8),
-                                       budget, counter)
+                                       budget, counter, memo)
     v, fv = _best_feasible_singleton(singletons, budget, counter)
     if v is not None and fv > fx:
         return Solution.from_indices(n, [v])
@@ -327,10 +361,13 @@ class Pomc:
 
         A child whose mutation flips no bit equals its parent.  Its
         evaluation is still counted and cut off at the current bound, but
-        answered from the parent's stored vector: f of a stored member is
-        always finite, since a cost-0 member dominates every -inf child.
-        The parent's array itself is inserted (members are never written),
-        so the archive reorders exactly as for a fresh copy.
+        answered from the parent's stored vector, and its insert needs no
+        archive walk.  f of a stored member is always finite (a cost-0
+        member dominates every -inf child), so a cut-off copy is strictly
+        dominated by its parent and rejected.  Otherwise the copy weakly
+        dominates its parent and, as members are mutually non-dominated
+        with distinct vectors, nothing else: the parent's entry moves to
+        the end, as `_insert` would leave it.
         """
         n, rate = self.n, 1.0 / self.n
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
@@ -344,14 +381,17 @@ class Pomc:
             flips = mut < rate
             flipped = flips.any(axis=1).tolist()
             for j in range(chunk):
-                bits = self._bits
+                bits, pf1, pf2 = self._bits, self._f1, self._f2
                 k = int(sel[j] * len(bits))
                 if flipped[j]:
-                    child, known = bits[k] ^ flips[j], None
-                else:
-                    child, known = bits[k], (self._f1[k], -self._f2[k])
-                f1, cost = evaluate(f, c, child, counter, cutoff, known)
-                insert(child, f1, -cost)
+                    child = bits[k] ^ flips[j]
+                    f1, cost = evaluate(f, c, child, counter, cutoff)
+                    insert(child, f1, -cost)
+                elif evaluate(f, c, bits[k], counter, cutoff,
+                              (pf1[k], -pf2[k]))[0] != NEG_INF:
+                    bits.append(bits.pop(k))
+                    pf1.append(pf1.pop(k))
+                    pf2.append(pf2.pop(k))
             done += chunk
 
     def _best(self, budget):

@@ -45,14 +45,21 @@ def partial_offline_error(series, lo: int, hi: int) -> float:
     return float(errors[lo - 1:hi].mean())
 
 
-def brute_force_baseline(f, c, cache=None):
-    """Exact per-budget baseline via enumeration (desk scale, n <= 24)."""
-    cache = {} if cache is None else cache
+def brute_force_baseline(f, c, budgets=()):
+    """Exact per-budget baseline via enumeration (desk scale, n <= 24).
+
+    The optima of all `budgets` come from one `brute_force_front` pass, made
+    on the first call; any other budget is enumerated on its own.
+    """
+    cache = {}
 
     def baseline(budget):
+        if not cache and budgets:
+            for b, val in brute_force_front(f, c, set(budgets)).items():
+                # nothing fits a budget < 0; brute_force_opt answers the empty set
+                cache[b] = brute_force_opt(f, c, b)[1] if val == NEG_INF else val
         if budget not in cache:
-            _sol, val = brute_force_opt(f, c, budget)
-            cache[budget] = val
+            cache[budget] = brute_force_opt(f, c, budget)[1]
         return cache[budget]
 
     return baseline

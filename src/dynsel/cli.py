@@ -368,16 +368,6 @@ def cmd_analyze(args) -> int:
     cfg = _read_config(results_dir / "config.ini")
     f, c, meta = build_instance(cfg, results_dir)
 
-    if args.baseline == "brute-force":
-        baseline = brute_force_baseline(f, c)
-        baseline_id = "brute-force"
-    elif args.baseline.startswith("pomc"):
-        evals = int(args.baseline.partition(":")[2] or 100_000)
-        baseline = long_run_baseline(f, c, evals=evals)
-        baseline_id = args.baseline
-    else:
-        raise ValueError(f"unknown baseline spec {args.baseline!r}")
-
     by_alg = {}
     for name in manifest["files"]:
         records = read_run_csv(results_dir / name)
@@ -386,10 +376,19 @@ def cmd_analyze(args) -> int:
         by_alg.setdefault(alg, {})[seed] = records
     if not by_alg:
         raise ValueError("no run files found")
-    total = max(len(r) for runs in by_alg.values() for r in runs.values())
+    runs = [r for per_seed in by_alg.values() for r in per_seed.values()]
+    total = max(len(r) for r in runs)
     intervals = _parse_intervals(args.intervals, total)
-    baseline, negatives = observed_baseline(
-        baseline, [r for runs in by_alg.values() for r in runs.values()])
+
+    if args.baseline == "brute-force":
+        budgets = {rec.budget for records in runs for rec in records}
+        baseline = brute_force_baseline(f, c, budgets)
+    elif args.baseline.startswith("pomc"):
+        evals = int(args.baseline.partition(":")[2] or 100_000)
+        baseline = long_run_baseline(f, c, evals=evals)
+    else:
+        raise ValueError(f"unknown baseline spec {args.baseline!r}")
+    baseline, negatives = observed_baseline(baseline, runs)
     algorithms = sorted(by_alg)
 
     sched_sec = cfg["schedule"] if cfg.has_section("schedule") else {}
@@ -430,7 +429,7 @@ def cmd_analyze(args) -> int:
     sig_path.write_text(json.dumps({
         "version": __version__,
         "config_hash": manifest["config_hash"],
-        "baseline": baseline_id,
+        "baseline": args.baseline,
         "negative_errors": negatives,
         "algorithms": algorithms,
         "matrices": matrices,

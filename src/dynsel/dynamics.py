@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import (AdaptiveGreedy, Eamc, NoFeasibleMemberError, Nsga2,
-                         Pomc, gga)
+                         Pomc, ScanMemo, gga)
 from .core import EvalCounter, Solution, substream
 
 ITERATIVE_ALGORITHMS = ("pomc", "pomc-wp", "eamc", "nsga2")
@@ -229,10 +229,12 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     if name in GREEDY_ALGORITHMS:
         counter = EvalCounter()
         adaptive = None
+        memo = ScanMemo()  # gga: scans repeated from the previous change
         for i, b in enumerate(budgets):
             t0 = time.perf_counter()
             if name == "gga":
-                sol = gga(f, c, b, counter=counter)
+                memo.next_change()
+                sol = gga(f, c, b, counter=counter, memo=memo)
             elif adaptive is None:
                 adaptive = AdaptiveGreedy(f, c, b, counter=counter)
                 sol = adaptive.answer()

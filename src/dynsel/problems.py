@@ -319,6 +319,7 @@ class RoutingCost(CostFn):
         self.n = inst.n
         self.min_increment = inst.per_node_cost
         self._dist = None
+        self._rows = None
 
     def _distances(self):
         if self._dist is None:
@@ -342,21 +343,26 @@ class RoutingCost(CostFn):
         return self._dist
 
     def __call__(self, bits) -> float:
-        selected = np.flatnonzero(bits)
-        cost = self.inst.per_node_cost * selected.size
-        if selected.size <= 1:
+        """O(k^2) for k selected nodes, walked over the distance matrix as
+        Python lists: at route sizes, numpy's per-leg indexing costs more
+        than the scan itself."""
+        selected = np.asarray(bits).nonzero()[0].tolist()
+        cost = self.inst.per_node_cost * len(selected)
+        if len(selected) <= 1:
             return float(cost)
-        dist = self._distances()
-        unvisited = list(selected[1:])
-        current = selected[0]  # lowest index
+        if self._rows is None:
+            self._rows = self._distances().tolist()
+        rows = self._rows
+        current, unvisited = selected[0], selected[1:]  # start at the lowest index
         while unvisited:
-            legs = dist[current, unvisited]
-            if not np.isfinite(legs).any():
+            row = rows[current]
+            legs = [row[v] for v in unvisited]
+            leg = min(legs)  # first minimum: ties -> lowest position = lowest index
+            if leg == POS_INF:
                 raise DisconnectedSelectionError(
                     f"no routing path from node {current} to {unvisited}")
-            k = int(np.argmin(legs))  # argmin ties -> lowest position = lowest index
-            cost += legs[k]
-            current = unvisited.pop(k)
+            cost += leg
+            current = unvisited.pop(legs.index(leg))
         return float(cost)
 
 

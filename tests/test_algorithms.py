@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, NoFeasibleMemberError,
-                               Nsga2, Pomc, TooLargeError, _eamc_g,
+                               Nsga2, Pomc, ScanMemo, TooLargeError, _eamc_g,
                                _fast_nondominated_sort, all_subsets,
                                brute_force_front, brute_force_opt, evaluate,
                                gga, knapsack_opt_value)
@@ -141,6 +141,34 @@ class TestGga:
         sol = gga(f, c, 2.0)
         sol2 = gga(f2, c2, 2.0)
         assert sorted(perm[i] for i in sol2.indices()) == sorted(sol.indices())
+
+    def test_memo_saves_calls_not_evaluations(self):
+        g = gen_random_digraph(12, 0.25, substream(4, "gga-memo"))
+        f = Calls(CoverageInstance(g).objective)
+        c = random_linear_cost(12, substream(5, "gga-memo"))
+        budgets = [1.0, 1.3, 0.9, 1.0, 1.4]
+        plain, memoized = EvalCounter(), EvalCounter()
+        memo = ScanMemo()
+        for b in budgets:
+            want = gga(f, c, b, counter=plain)
+            calls = f.calls
+            memo.next_change()
+            got = gga(f, c, b, counter=memoized, memo=memo)
+            assert got.bits.tolist() == want.bits.tolist()
+            assert memoized.count == plain.count
+        assert f.calls - calls < 12  # the last scan mostly repeats earlier ones
+
+    def test_memo_keeps_two_changes(self):
+        f = Calls(LinearObjective([1.0, 2.0, 3.0]))
+        memo = ScanMemo()
+        x = bits_of(3, [1])
+        assert memo(f, CardinalityCost(3), x) == (2.0, 1.0)
+        memo.next_change()
+        assert memo(f, CardinalityCost(3), x) == (2.0, 1.0)  # from the previous
+        memo.next_change()
+        memo.next_change()  # two changes without x: dropped
+        memo(f, CardinalityCost(3), x)
+        assert f.calls == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynsel.algorithms import Pomc, brute_force_front
+from dynsel.algorithms import Pomc, brute_force_front, brute_force_opt
 from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              brute_force_baseline, check_phi_approx,
                              chi2_sf, curvature, format_marks,
@@ -12,7 +12,8 @@ from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
 from dynsel.core import substream
 from dynsel.dynamics import BudgetSchedule, run_dynamic
 from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             LinearObjective, gen_random_digraph)
+                             LinearObjective, gen_random_digraph,
+                             random_linear_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,17 @@ class TestOfflineErrors:
         series = offline_errors(records, brute_force_baseline(f, c), "bf")
         assert (series.errors >= 0).all()
         assert len(series) == len(records)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_pass_baseline_matches_per_budget_opt(self, seed):
+        n = 9
+        f = CoverageInstance(gen_random_digraph(n, 0.25, substream(seed, "bl"))).objective
+        c = random_linear_cost(n, substream(seed, "bl-cost"))
+        budgets = [-0.5, 0.0, 0.05, 0.4, 0.4000000000000001, 1.0, 2.5, 10.0]
+        one_pass = brute_force_baseline(f, c, budgets)
+        # 0.7 is not among the budgets given: enumerated on its own
+        for b in budgets + [0.7]:
+            assert one_pass(b) == brute_force_opt(f, c, b)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden outputs: every algorithm's run records on two small fixed instances.
+"""Golden outputs: every algorithm's run records on three small fixed instances.
 
 Speed work on the solvers must leave every counted number, every random draw
 and every output byte unchanged.  These records pin (budget, best_f,
@@ -10,11 +10,13 @@ size, so partial generations are covered too.
 import numpy as np
 import pytest
 
-from dynsel.algorithms import _greedy_extend
+from dynsel.algorithms import Pomc, _greedy_extend, evaluate
 from dynsel.core import NEG_INF, POS_INF, EvalCounter, substream
 from dynsel.dynamics import ALL_ALGORITHMS, BudgetSchedule, run_dynamic
-from dynsel.problems import (CoverageInstance, gen_random_digraph,
-                             outdegree_cost, random_linear_cost)
+from dynsel.problems import (CoverageInstance, IcSpreadObjective,
+                             InfluenceInstance, RoutingCost, gen_er_graph,
+                             gen_random_digraph, outdegree_cost,
+                             random_linear_cost)
 
 RUN_SEED = 7
 PARAMS = {"warmup_evals": 150}
@@ -37,9 +39,24 @@ def _random_linear_instance():
     return CoverageInstance(g).objective, c, schedule
 
 
+def _influence_routing_instance():
+    """Live-edge influence spread with a routing cost over a connected ER
+    graph, so routes of several legs are walked."""
+    social = gen_random_digraph(16, 0.15, substream(6, "golden", "social"),
+                                edge_prob=0.3)
+    routing = gen_er_graph(16, 0.3, substream(7, "golden", "routing"))
+    influence = InfluenceInstance(social, simulations=20, routing_graph=routing)
+    schedule = BudgetSchedule(b_init=2.5, b_min=1.5, b_max=4.0,
+                              deltas=[0.5, -0.8, 0.4, -0.9, 0.7, 0.3],
+                              tau=29, r=1.0)
+    return (IcSpreadObjective(influence, substream(8, "golden", "ic")),
+            RoutingCost(influence), schedule)
+
+
 INSTANCES = {
     "coverage-outdegree": _outdegree_instance,
     "coverage-random-linear": _random_linear_instance,
+    "influence-routing": _influence_routing_instance,
 }
 
 
@@ -152,6 +169,60 @@ GOLDEN = {
         (0.6, 13.0, 0.32064812807058674, 115),
         (1.2, 15.0, 1.0853899872690598, 138),
     ],
+    ('influence-routing', 'gga'): [
+        (2.5, 12.25, 2.4819342793743315, 153),
+        (3.0, 12.3, 2.844457754001148, 306),
+        (2.2, 10.25, 2.102209349300646, 459),
+        (2.6, 12.0, 2.58009106346275, 612),
+        (1.7000000000000002, 9.0, 1.3978802817921734, 765),
+        (2.4000000000000004, 11.15, 2.310772576227483, 918),
+        (2.7, 12.0, 2.58009106346275, 1071),
+    ],
+    ('influence-routing', 'adgga'): [
+        (2.5, 12.25, 2.4819342793743315, 154),
+        (3.0, 13.25, 2.9747922974198486, 208),
+        (2.2, 10.2, 1.990938693097037, 256),
+        (2.6, 11.95, 2.5625384595783838, 340),
+        (1.7000000000000002, 9.2, 1.4980806750515199, 384),
+        (2.4000000000000004, 11.55, 2.2982780954004873, 480),
+        (2.7, 12.3, 2.6830895851892986, 543),
+    ],
+    ('influence-routing', 'pomc'): [
+        (2.5, 11.1, 2.260257180332304, 29),
+        (3.0, 12.4, 2.9295553817245956, 58),
+        (2.2, 10.3, 2.12102153343937, 87),
+        (2.6, 11.1, 2.260257180332304, 116),
+        (1.7000000000000002, 9.4, 1.6844514614614357, 145),
+        (2.4000000000000004, 11.1, 2.260257180332304, 174),
+        (2.7, 11.9, 2.583089585189299, 203),
+    ],
+    ('influence-routing', 'pomc-wp'): [
+        (2.5, 11.7, 2.305532186315048, 29),
+        (3.0, 12.2, 2.7083736044184104, 58),
+        (2.2, 10.35, 2.1697366299478755, 87),
+        (2.6, 12.0, 2.5698988768534456, 116),
+        (1.7000000000000002, 10.3, 1.6692423781983687, 145),
+        (2.4000000000000004, 11.7, 2.305532186315048, 174),
+        (2.7, 12.0, 2.5698988768534456, 203),
+    ],
+    ('influence-routing', 'eamc'): [
+        (2.5, 11.4, 2.4759556186226614, 29),
+        (3.0, 11.4, 2.4759556186226614, 58),
+        (2.2, 11.0, 1.995588153668583, 87),
+        (2.6, 11.0, 1.995588153668583, 116),
+        (1.7000000000000002, 8.85, 1.3692508132458427, 145),
+        (2.4000000000000004, 9.9, 2.1102671665905746, 174),
+        (2.7, 11.85, 2.6318076274653404, 203),
+    ],
+    ('influence-routing', 'nsga2'): [
+        (2.5, 11.3, 2.3971951783516867, 29),
+        (3.0, 11.7, 2.8776470748661356, 58),
+        (2.2, 10.25, 2.135574291973582, 87),
+        (2.6, 11.3, 2.3971951783516867, 116),
+        (1.7000000000000002, 8.75, 1.5930914948130286, 145),
+        (2.4000000000000004, 11.5, 2.347902874515524, 174),
+        (2.7, 11.5, 2.347902874515524, 203),
+    ],
 }
 
 
@@ -215,3 +286,44 @@ def test_greedy_extend_matches_naive_rescan(seed):
     assert got_x.tolist() == want_x.tolist()
     assert got_fx == want_fx
     assert got_counter.count == want_counter.count
+
+
+# ---------------------------------------------------------------------------
+# POMC's zero-flip shortcut against the two-walk insert of every child
+
+
+def two_walk_run(pomc, evals):
+    """`Pomc.run` with every child, zero-flip copies included, evaluated
+    and inserted through `_insert` (the dominance walk, then the keep walk)."""
+    n = pomc.n
+    cutoff = pomc.budget + 1
+    done = 0
+    while done < evals:
+        chunk = min(4096, evals - done)
+        sel = pomc.rng.random(chunk).tolist()
+        flips = pomc.rng.random((chunk, n)) < 1.0 / n
+        for j in range(chunk):
+            k = int(sel[j] * len(pomc))
+            child = pomc._bits[k] ^ flips[j]
+            f1, cost = evaluate(pomc.f, pomc.c, child, pomc.counter, cutoff)
+            pomc._insert(child, f1, -cost)
+        done += chunk
+
+
+def archive(pomc):
+    return ([b.tolist() for b in pomc._bits], pomc._f1, pomc._f2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pomc_archive_matches_two_walk_insert(seed):
+    f, c, schedule = INSTANCES[sorted(INSTANCES)[seed % len(INSTANCES)]]()
+    budgets = schedule.budgets()
+    got = Pomc(f, c, budgets[0], substream(seed, "golden", "archive"))
+    want = Pomc(f, c, budgets[0], substream(seed, "golden", "archive"))
+    for b in budgets:  # stale members under a lower bound give cut-off copies
+        got.set_budget(b)
+        want.set_budget(b)
+        got.run(300)
+        two_walk_run(want, 300)
+        assert archive(got) == archive(want)
+        assert got.counter.count == want.counter.count

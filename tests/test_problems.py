@@ -17,6 +17,26 @@ from dynsel.problems import (CardinalityCost, CoverageInstance, DirectedGraph,
 from conftest import bits_of
 
 
+def numpy_walk(c, bits):
+    """The nearest-neighbour route as first written: one numpy fancy-index,
+    isfinite and argmin per leg over the Dijkstra matrix."""
+    selected = np.flatnonzero(bits)
+    cost = c.inst.per_node_cost * selected.size
+    if selected.size <= 1:
+        return float(cost)
+    dist = c._distances()
+    unvisited = list(selected[1:])
+    current = selected[0]
+    while unvisited:
+        legs = dist[current, unvisited]
+        if not np.isfinite(legs).any():
+            raise DisconnectedSelectionError(current)
+        k = int(np.argmin(legs))
+        cost += legs[k]
+        current = unvisited.pop(k)
+    return float(cost)
+
+
 # ---------------------------------------------------------------------------
 # coverage objective
 
@@ -167,6 +187,34 @@ class TestCosts:
         c = RoutingCost(inst)
         with pytest.raises(DisconnectedSelectionError):
             c(bits_of(4, [0, 3]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_routing_walk_matches_numpy_walk(self, seed):
+        # even seeds: integer weights, so legs tie; odd seeds: Euclidean
+        # weights over a sparse graph that may leave nodes unreachable
+        rng = substream(seed, "routing-walk")
+        n = int(rng.integers(2, 16))
+        if seed % 2 == 0:
+            edges = [(u, v, 1.0, float(rng.integers(1, 4)))
+                     for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5]
+            g = DirectedGraph.from_edges(n, edges, directed=bool(seed % 4))
+        else:
+            g = gen_er_graph(n, 0.15, rng)
+        c = RoutingCost(InfluenceInstance(g, routing_graph=g))
+        raised = 0
+        for _ in range(200):
+            bits = (rng.random(n) < rng.random()).astype(np.uint8)
+            try:
+                want = numpy_walk(c, bits)
+            except DisconnectedSelectionError:
+                raised += 1
+                with pytest.raises(DisconnectedSelectionError):
+                    c(bits)
+            else:
+                assert c(bits) == want
+        if seed % 2:
+            assert raised > 0  # disconnected selections are covered
 
     @pytest.mark.parametrize("variant", ["cardinality", "random-linear", "outdegree"])
     def test_monotone_with_zero_empty_cost(self, variant):
