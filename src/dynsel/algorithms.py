@@ -150,13 +150,12 @@ class ScanMemo:
         return fc
 
 
-def _scan(f, c, x, candidates, memo=None):
+def _scan(f, c, x, candidates, value=_fc):
     """(f, c) of x + v for each v in `candidates`, leaving x as it was.
 
-    Uncounted: the caller charges one evaluation per pair it uses.  With a
-    `ScanMemo`, pairs it holds are read from it instead of f and c.
+    Uncounted: the caller charges one evaluation per pair it uses.  Each
+    pair comes from `value(f, c, x)`: `_fc`, or a `ScanMemo`.
     """
-    value = _fc if memo is None else memo
     out = []
     for v in candidates:
         x[v] = 1
@@ -180,7 +179,7 @@ def _best_feasible_singleton(singletons, budget, counter):
     return best_v, best_val
 
 
-def _greedy_extend(f, c, x_bits, budget, counter, memo=None):
+def _greedy_extend(f, c, x_bits, budget, counter, value=_fc):
     """Alg. 1 body: scan V', add the argmax marginal-ratio element when
     feasible, and drop the argmax from V' regardless of feasibility.
 
@@ -190,16 +189,16 @@ def _greedy_extend(f, c, x_bits, budget, counter, memo=None):
     called again after an element is added.  Ties go to the lowest element
     index either way.  Returns (x, f(x), first scan), the first scan being
     the (f, c) of x_bits + v for every v in V' in index order; from the
-    empty set, these are the singletons.  `memo` is passed on to `_scan`.
+    empty set, these are the singletons.  `value` is passed on to `_scan`.
     """
     x = x_bits.copy()
     remaining = np.flatnonzero(x == 0).tolist()
-    fx, cx = (_fc if memo is None else memo)(f, c, x)
+    fx, cx = value(f, c, x)
     counter.increment()
     first = scan = None
     while remaining:
         if scan is None:
-            scan = _scan(f, c, x, remaining, memo)
+            scan = _scan(f, c, x, remaining, value)
             if first is None:
                 first = scan[:]
             ratios = []
@@ -230,7 +229,7 @@ def gga(f, c, budget, counter=None, memo=None) -> Solution:
     counter = counter if counter is not None else EvalCounter()
     n = f.n
     x, fx, singletons = _greedy_extend(f, c, np.zeros(n, dtype=np.uint8),
-                                       budget, counter, memo)
+                                       budget, counter, memo or _fc)
     v, fv = _best_feasible_singleton(singletons, budget, counter)
     if v is not None and fv > fx:
         return Solution.from_indices(n, [v])

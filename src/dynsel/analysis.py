@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Pomc, all_subsets, brute_force_front, brute_force_opt
+from .algorithms import Pomc, all_subsets, brute_force_front
 from .core import NEG_INF, phi_ratio, substream
 
 
@@ -48,18 +48,18 @@ def partial_offline_error(series, lo: int, hi: int) -> float:
 def brute_force_baseline(f, c, budgets=()):
     """Exact per-budget baseline via enumeration (desk scale, n <= 24).
 
-    The optima of all `budgets` come from one `brute_force_front` pass, made
-    on the first call; any other budget is enumerated on its own.
+    The first call answers every budget in `budgets` and its own from one
+    `brute_force_front` pass; a later budget not yet seen gets a pass of its
+    own.  Nothing fits a budget < 0; as in `brute_force_opt`, its value is
+    f of the empty set.
     """
     cache = {}
 
     def baseline(budget):
-        if not cache and budgets:
-            for b, val in brute_force_front(f, c, set(budgets)).items():
-                # nothing fits a budget < 0; brute_force_opt answers the empty set
-                cache[b] = brute_force_opt(f, c, b)[1] if val == NEG_INF else val
         if budget not in cache:
-            cache[budget] = brute_force_opt(f, c, budget)[1]
+            todo = {budget, *budgets}.difference(cache)
+            for b, val in brute_force_front(f, c, todo).items():
+                cache[b] = float(f(np.zeros(f.n, np.uint8))) if val == NEG_INF else val
         return cache[budget]
 
     return baseline

@@ -319,7 +319,7 @@ class RoutingCost(CostFn):
         self.n = inst.n
         self.min_increment = inst.per_node_cost
         self._dist = None
-        self._rows = None
+        self._rows = {}  # node -> its distance row as a list, made on first use
 
     def _distances(self):
         if self._dist is None:
@@ -343,19 +343,20 @@ class RoutingCost(CostFn):
         return self._dist
 
     def __call__(self, bits) -> float:
-        """O(k^2) for k selected nodes, walked over the distance matrix as
+        """O(k^2) for k selected nodes, walked over distance rows as
         Python lists: at route sizes, numpy's per-leg indexing costs more
-        than the scan itself."""
+        than the scan itself.  A row is converted the first time its node
+        starts a leg, so only the rows of routed nodes are held twice."""
         selected = np.asarray(bits).nonzero()[0].tolist()
         cost = self.inst.per_node_cost * len(selected)
         if len(selected) <= 1:
             return float(cost)
-        if self._rows is None:
-            self._rows = self._distances().tolist()
         rows = self._rows
         current, unvisited = selected[0], selected[1:]  # start at the lowest index
         while unvisited:
-            row = rows[current]
+            row = rows.get(current)
+            if row is None:
+                row = rows[current] = self._distances()[current].tolist()
             legs = [row[v] for v in unvisited]
             leg = min(legs)  # first minimum: ties -> lowest position = lowest index
             if leg == POS_INF:
