@@ -2,21 +2,21 @@
 
 __version__ = "0.1.0"
 
-from .core import EvalCounter, Solution, phi_ratio, substream
-from .algorithms import (AdaptiveGreedy, Eamc, Nsga2, Pomc, brute_force_front,
-                         brute_force_opt, gga, knapsack_opt_value)
+from .core import EvalCounter, phi_ratio, substream
+from .algorithms import (AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc,
+                         brute_force_front, brute_force_opt, gga,
+                         knapsack_opt_value)
 from .dynamics import (BudgetSchedule, RunRecord, gen_schedule, load_schedule,
-                       preset_schedule, run_dynamic, save_schedule, warmup)
-from .analysis import (bonferroni_posthoc, check_phi_approx, curvature,
-                       kruskal_wallis, offline_errors, partial_offline_error,
+                       preset_schedule, run_dynamic, save_schedule)
+from .analysis import (bonferroni_posthoc, check_phi_approx, kruskal_wallis,
+                       offline_errors, partial_offline_error,
                        submodularity_ratio)
 
 __all__ = [
-    "AdaptiveGreedy", "BudgetSchedule", "Eamc", "EvalCounter", "Nsga2",
-    "Pomc", "RunRecord", "Solution", "bonferroni_posthoc",
-    "brute_force_front", "brute_force_opt", "check_phi_approx", "curvature",
-    "gen_schedule", "gga", "knapsack_opt_value", "kruskal_wallis",
-    "load_schedule", "offline_errors", "partial_offline_error", "phi_ratio",
-    "preset_schedule", "run_dynamic", "save_schedule", "submodularity_ratio",
-    "substream", "warmup",
+    "AdaptiveGreedy", "BudgetSchedule", "Eamc", "EvalCounter", "Gga", "Nsga2",
+    "Pomc", "RunRecord", "bonferroni_posthoc", "brute_force_front",
+    "brute_force_opt", "check_phi_approx", "gen_schedule", "gga",
+    "knapsack_opt_value", "kruskal_wallis", "load_schedule", "offline_errors",
+    "partial_offline_error", "phi_ratio", "preset_schedule", "run_dynamic",
+    "save_schedule", "submodularity_ratio", "substream",
 ]

@@ -1,13 +1,16 @@
 """The five solvers plus exhaustive oracles.
 
-Greedy (GGA) and its adaptive variant (AdGGA) are per-budget procedures
-that draw no random numbers and count every evaluation of their scans, also
-one read from an earlier scan.  POMC, EAMC and NSGA-II
-are iterative and share one protocol: `set_budget(b)` applies a dynamic change,
+Every solver shares one protocol: `set_budget(b)` applies a dynamic change,
 `run(evals)` spends exactly `evals` evaluations, and `answer_value(budget)`
 reads the best stored (f, cost) within a bound (the current one by default).
-Every one of their evaluations goes through `evaluate`, the single place
-that counts and applies the infeasibility cutoff.
+
+Greedy (GGA, `Gga`) and its adaptive variant (AdGGA) draw no random numbers
+and do their whole work in `set_budget`: every evaluation of their scans is
+counted, also one read from an earlier scan, but none is charged against
+`run`, which does nothing, and their answer holds for the current bound
+only.  POMC, EAMC and NSGA-II are iterative: every one of their evaluations
+goes through `evaluate`, the single place that counts and applies the
+infeasibility cutoff.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import (NEG_INF, POS_INF, EvalCounter, Solution)
+from .core import NEG_INF, POS_INF, EvalCounter
 
 
 class TooLargeError(ValueError):
@@ -61,7 +64,8 @@ def all_subsets(n):
 
 
 def brute_force_opt(f, c, budget):
-    """Exact maximizer of f over {X : c(X) <= budget} by enumeration, n <= 24."""
+    """(bits, value) of an exact maximizer of f over {X : c(X) <= budget} by
+    enumeration, n <= 24."""
     n = f.n
     best_bits, best_val = None, NEG_INF
     for bits in all_subsets(n):
@@ -71,8 +75,9 @@ def brute_force_opt(f, c, budget):
                 best_bits, best_val = bits, val
     if best_bits is None:
         # c is monotone with c(empty) = 0, so this only happens for budget < 0
-        return Solution.empty(n), float(f(Solution.empty(n).bits))
-    return Solution(best_bits.copy()), best_val
+        empty = np.zeros(n, dtype=np.uint8)
+        return empty, float(f(empty))
+    return best_bits.copy(), best_val
 
 
 def brute_force_front(f, c, budgets):
@@ -164,11 +169,11 @@ def _scan(f, c, x, candidates, value=_fc):
     return out
 
 
-def _best_feasible_singleton(singletons, budget, counter):
-    """argmax f(v) over singletons with c(v) <= budget; None if none feasible.
+def _with_best_singleton(x, fx, cx, singletons, budget, counter):
+    """(bits, f, cost) of the better of x and the best feasible singleton.
 
     `singletons[v]` is the stored (f, c) of {v}; each feasible one is charged
-    one evaluation.
+    one evaluation.  Ties keep x, then the lowest element index.
     """
     best_v, best_val = None, NEG_INF
     for v, (fv, cv) in enumerate(singletons):
@@ -176,7 +181,11 @@ def _best_feasible_singleton(singletons, budget, counter):
             counter.increment()
             if fv > best_val:
                 best_v, best_val = v, fv
-    return best_v, best_val
+    if best_v is not None and best_val > fx:
+        bits = np.zeros(x.size, dtype=np.uint8)
+        bits[best_v] = 1
+        return bits, best_val, singletons[best_v][1]
+    return x, fx, cx
 
 
 def _greedy_extend(f, c, x_bits, budget, counter, value=_fc):
@@ -187,9 +196,10 @@ def _greedy_extend(f, c, x_bits, budget, counter, value=_fc):
     rescan.  While x is unchanged (the argmax was infeasible), a rescan would
     return the same (f, c) for every remaining element, so f and c are only
     called again after an element is added.  Ties go to the lowest element
-    index either way.  Returns (x, f(x), first scan), the first scan being
-    the (f, c) of x_bits + v for every v in V' in index order; from the
-    empty set, these are the singletons.  `value` is passed on to `_scan`.
+    index either way.  Returns (x, f(x), c(x), first scan), the first scan
+    being the (f, c) of x_bits + v for every v in V' in index order; from
+    the empty set, these are the singletons.  `value` is passed on to
+    `_scan`.
     """
     x = x_bits.copy()
     remaining = np.flatnonzero(x == 0).tolist()
@@ -219,52 +229,86 @@ def _greedy_extend(f, c, x_bits, budget, counter, value=_fc):
             x[v] = 1
             fx, cx = best_fv, best_cv
             scan = None
-    return x, fx, first or []
+    return x, fx, cx, first or []
 
 
-def gga(f, c, budget, counter=None, memo=None) -> Solution:
+def gga(f, c, budget, counter=None, value=_fc):
     """Generalized greedy: ratio-greedy fill, then compare with the best
-    feasible singleton, read from the fill's first scan.  A `ScanMemo`
-    shared across budget changes answers repeated scans."""
+    feasible singleton, read from the fill's first scan.  Returns
+    (bits, f, cost) of the answer; `value` is passed on to `_scan`."""
     counter = counter if counter is not None else EvalCounter()
-    n = f.n
-    x, fx, singletons = _greedy_extend(f, c, np.zeros(n, dtype=np.uint8),
-                                       budget, counter, memo or _fc)
-    v, fv = _best_feasible_singleton(singletons, budget, counter)
-    if v is not None and fv > fx:
-        return Solution.from_indices(n, [v])
-    return Solution(x)
+    x, fx, cx, singletons = _greedy_extend(
+        f, c, np.zeros(f.n, dtype=np.uint8), budget, counter, value)
+    return _with_best_singleton(x, fx, cx, singletons, budget, counter)
 
 
-class AdaptiveGreedy:
-    """AdGGA: keeps its working set across budget changes.
+class _Greedy:
+    """The protocol of the greedy solvers.  The constructor evaluates
+    nothing; `set_budget(b)` makes the whole change and stores the answer's
+    (f, cost); `run` has nothing to do, because greedy evaluations are
+    counted but not charged against tau."""
 
-    Decreases strip the argmin marginal-ratio element until feasible;
-    increases greedily extend over the unselected elements.  The returned
-    answer is the better of the working set and the best feasible singleton,
-    but the singleton never overwrites the internal state.  Singleton values
-    do not depend on the budget, so they are computed once and each answer
-    charges one evaluation per feasible singleton.
-    """
-
-    def __init__(self, f, c, budget, initial: Solution | None = None, counter=None):
+    def __init__(self, f, c, budget, counter=None):
         self.f = f
         self.c = c
         self.budget = float(budget)
         self.counter = counter if counter is not None else EvalCounter()
-        zeros = np.zeros(f.n, dtype=np.uint8)
-        if initial is None:
-            self.x, _, self._singletons = _greedy_extend(
-                f, c, zeros, self.budget, self.counter)
-        else:
-            self.x = initial.bits.copy()
-            self._singletons = _scan(f, c, zeros, range(f.n))
+        self._answer = None  # (f, cost), set by set_budget
+
+    def run(self, evals: int) -> None:
+        """Greedy spends no share of tau."""
+
+    def answer_value(self, budget=None):
+        """(f, cost) of the answer for the current bound, the only bound a
+        greedy answer holds for."""
+        if budget is not None and float(budget) != self.budget:
+            raise ValueError(f"a greedy answer holds for its current bound "
+                             f"{self.budget}, not {budget}")
+        if self._answer is None:
+            raise NoFeasibleMemberError("no answer before the first set_budget")
+        return self._answer
+
+
+class Gga(_Greedy):
+    """GGA under a moving budget: every change restarts `gga` from the
+    empty set.  A `ScanMemo` answers the scans that repeat the previous
+    change's, so they are charged but f and c are not called again."""
+
+    def __init__(self, f, c, budget, counter=None):
+        super().__init__(f, c, budget, counter)
+        self._memo = ScanMemo()
+
+    def set_budget(self, budget) -> None:
+        self.budget = float(budget)
+        self._memo.next_change()
+        self._answer = gga(self.f, self.c, self.budget, self.counter,
+                           self._memo)[1:]
+
+
+class AdaptiveGreedy(_Greedy):
+    """AdGGA: keeps its working set across budget changes.
+
+    The first change fills the working set from the empty set.  Later
+    decreases strip the argmin marginal-ratio element until feasible;
+    increases greedily extend over the unselected elements.  The answer is
+    the better of the working set and the best feasible singleton, but the
+    singleton never overwrites the working set.  Each answer is charged one
+    evaluation for the working set, whose (f, c) the scans already hold,
+    plus one per feasible singleton, whose values the first fill's scan
+    holds.
+    """
+
+    def __init__(self, f, c, budget, counter=None):
+        super().__init__(f, c, budget, counter)
+        self.x = None  # the working set, from the first change on
+        self._value = None  # (f, c) of x
+        self._singletons = None
 
     def _shrink(self, new_budget):
+        """Strip elements until x fits; returns (f, c) of the result."""
         x = self.x
-        cx = float(self.c(x))
-        self.counter.increment()
-        fx = float(self.f(x))
+        fx, cx = self._value
+        self.counter.increment()  # x itself, answered from its stored value
         while cx > new_budget:
             selected = np.flatnonzero(x)
             best_i, best_ratio = 0, POS_INF
@@ -285,26 +329,24 @@ class AdaptiveGreedy:
                 break
             x[selected[best_i]] = 0
             fx, cx = best_fv, best_cv
+        return fx, cx
 
-    def update(self, new_budget) -> Solution:
-        """Apply one dynamic change and return the answer for the new budget."""
-        new_budget = float(new_budget)
-        if new_budget < self.budget:
-            self._shrink(new_budget)
-        elif new_budget > self.budget:
-            self.x, _, _ = _greedy_extend(self.f, self.c, self.x, new_budget,
-                                          self.counter)
-        self.budget = new_budget
-        return self.answer()
-
-    def answer(self) -> Solution:
-        self.counter.increment()
-        fx = float(self.f(self.x))
-        v, fv = _best_feasible_singleton(self._singletons, self.budget,
-                                         self.counter)
-        if v is not None and fv > fx:
-            return Solution.from_indices(self.f.n, [v])
-        return Solution(self.x.copy())
+    def set_budget(self, budget) -> None:
+        budget = float(budget)
+        f, c, counter = self.f, self.c, self.counter
+        if self.x is None:
+            self.x, fx, cx, self._singletons = _greedy_extend(
+                f, c, np.zeros(f.n, dtype=np.uint8), budget, counter)
+        elif budget < self.budget:
+            fx, cx = self._shrink(budget)
+        elif budget > self.budget:
+            self.x, fx, cx, _ = _greedy_extend(f, c, self.x, budget, counter)
+        else:
+            fx, cx = self._value
+        self.budget, self._value = budget, (fx, cx)
+        counter.increment()  # the answer's evaluation of the working set
+        self._answer = _with_best_singleton(self.x, fx, cx, self._singletons,
+                                            budget, counter)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +391,6 @@ class Pomc:
         self._bits = [self._bits[i] for i in keep] + [child]
         self._f1 = [pf1[i] for i in keep] + [f1]
         self._f2 = [pf2[i] for i in keep] + [f2]
-
-    def step(self) -> None:
-        self.run(1)
 
     def run(self, evals: int) -> None:
         """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
@@ -404,9 +443,6 @@ class Pomc:
         if best_i is None:
             raise NoFeasibleMemberError(f"no member with stored cost <= {b}")
         return best_i
-
-    def answer(self, budget=None) -> Solution:
-        return Solution(self._bits[self._best(budget)].copy())
 
     def answer_value(self, budget=None):
         """(stored f1, stored cost) of the answer member."""
@@ -532,9 +568,6 @@ class Eamc:
         if best is None:
             raise NoFeasibleMemberError(f"no member with cost <= {b}")
         return best
-
-    def answer(self, budget=None) -> Solution:
-        return Solution(self._best(budget)[0].copy())
 
     def answer_value(self, budget=None):
         _bits, fval, cost = self._best(budget)
@@ -728,9 +761,7 @@ class Nsga2:
         best = _best_within(self.parents, b)
         return self.seed_individual if best is None else best
 
-    def answer(self, budget=None) -> Solution:
-        return Solution(self._best(budget).bits.copy())
-
     def answer_value(self, budget=None):
         best = self._best(budget)
         return best.f_raw, best.c_raw
+

@@ -1,6 +1,6 @@
 """Offline-error computation, the two nonparametric tests the protocol
-needs, and theory-verification oracles (submodularity ratio, curvature,
-phi-approximation checks).
+needs, and theory-verification oracles (submodularity ratio and the
+phi-approximation check).
 
 The tests' p-values are computed in closed form: the chi-square survival
 function for the integer degrees of freedom Kruskal-Wallis uses, and the
@@ -11,7 +11,6 @@ normal one through `math.erfc`.  Ranks are average ranks from one
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,15 @@ class ErrorSeries:
     """Per-change offline errors e_i = f(baseline_i) - f(answer_i)."""
 
     errors: np.ndarray
-    baseline_id: str = ""
 
     def __len__(self):
         return len(self.errors)
 
 
-def offline_errors(records, baseline, baseline_id="") -> ErrorSeries:
+def offline_errors(records, baseline) -> ErrorSeries:
     """baseline: callable budget -> best-known f value for that budget."""
-    e = np.array([baseline(rec.budget) - rec.best_f for rec in records])
-    return ErrorSeries(errors=e, baseline_id=baseline_id)
+    return ErrorSeries(np.array([baseline(rec.budget) - rec.best_f
+                                 for rec in records]))
 
 
 def partial_offline_error(series, lo: int, hi: int) -> float:
@@ -246,37 +244,6 @@ def submodularity_ratio(f, n=None) -> float:
     if best is None:
         return 1.0  # no informative pair (constant f)
     return float(min(max(best, 0.0), 1.0))
-
-
-def curvature(f, n=None) -> float:
-    """Total curvature 1 - min_v (f(V) - f(V \\ v)) / f(v).
-
-    Elements with f(v) = 0 are skipped and reported via a warning.
-    """
-    n = f.n if n is None else n
-    if n > SUBMOD_CAP:
-        raise ValueError(f"n = {n} exceeds exhaustive cap {SUBMOD_CAP}")
-    full = np.ones(n, dtype=np.uint8)
-    f_full = float(f(full))
-    best = None
-    skipped = []
-    for v in range(n):
-        single = np.zeros(n, dtype=np.uint8)
-        single[v] = 1
-        fv = float(f(single))
-        if fv == 0.0:
-            skipped.append(v)
-            continue
-        without = full.copy()
-        without[v] = 0
-        ratio = (f_full - float(f(without))) / fv
-        if best is None or ratio < best:
-            best = ratio
-    if skipped:
-        warnings.warn(f"curvature: skipped elements with f(v)=0: {skipped}")
-    if best is None:
-        raise ZeroDivisionError("every singleton has f(v) = 0")
-    return 1.0 - best
 
 
 @dataclass

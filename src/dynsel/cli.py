@@ -12,6 +12,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -31,7 +32,7 @@ from .dynamics import (ALL_ALGORITHMS, SCHEDULE_PRESETS, gen_schedule,
                        load_schedule, preset_schedule, read_run_csv,
                        run_dynamic, save_schedule, write_run_csv)
 from .problems import (CoverageInstance, DirectedGraph, IcSpreadObjective,
-                       InfluenceInstance, bipartite_cover_graph,
+                       InfluenceInstance, bfs_reachable, bipartite_cover_graph,
                        gen_adversarial_knapsack, gen_ba_graph,
                        gen_bipartite_cover, gen_er_graph, gen_random_digraph,
                        load_dimacs, load_edge_list, make_cost, save_edge_list)
@@ -39,16 +40,19 @@ from .theory import (bipartite_decrease_trace, knapsack_increase_trace,
                      pomc_phi_trial)
 
 EXPERIMENT_PRESETS = {
-    "influence-routing": dict(schedule="influence", cost="routing",
-                              taus=(100, 1000, 5000, 10000),
+    "influence-routing": dict(kind="influence", schedule="influence",
+                              cost="routing", taus=(100, 1000, 5000, 10000),
                               algorithms="gga,adgga,pomc,pomc-wp"),
-    "influence-cardinality": dict(schedule="influence", cost="cardinality",
+    "influence-cardinality": dict(kind="influence", schedule="influence",
+                                  cost="cardinality",
                                   taus=(100, 1000, 5000, 10000),
                                   algorithms="gga,adgga,pomc,pomc-wp"),
-    "maxcov-random": dict(schedule="random-cost", cost="random-linear",
+    "maxcov-random": dict(kind="coverage", schedule="random-cost",
+                          cost="random-linear",
                           taus=(100, 1000, 5000, 15000, 45000),
                           algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
-    "maxcov-outdegree": dict(schedule="outdegree", cost="outdegree",
+    "maxcov-outdegree": dict(kind="coverage", schedule="outdegree",
+                             cost="outdegree",
                              taus=(100, 1000, 5000, 15000, 45000),
                              algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
 }
@@ -73,6 +77,26 @@ def load_graph(path) -> DirectedGraph:
 
 # ---------------------------------------------------------------------------
 # generate
+
+
+def _influence_graphs(out: Path, cost: str, args, rng) -> dict:
+    """Write an influence experiment's graphs next to its config `out`, named
+    after it: a BA social graph and, for the routing cost, an ER routing
+    graph redrawn until connected, with p raised to at least 2 ln(n) / n.
+    Returns the [instance] keys that name them."""
+    social = out.with_name(f"{out.stem}.social.edges")
+    save_edge_list(gen_ba_graph(args.n, m=args.m, rng=rng,
+                                edge_prob=args.edge_prob), social)
+    keys = {"graph": social.name}
+    if cost == "routing":
+        p = max(args.p, 2 * math.log(args.n) / args.n)
+        routing = gen_er_graph(args.n, p, rng)
+        while bfs_reachable(routing, [0]) < routing.n:
+            routing = gen_er_graph(args.n, p, rng)
+        path = out.with_name(f"{out.stem}.routing.edges")
+        save_edge_list(routing, path)
+        keys["routing_graph"] = path.name
+    return keys
 
 
 def cmd_generate(args) -> int:
@@ -109,9 +133,14 @@ def cmd_generate(args) -> int:
         preset = EXPERIMENT_PRESETS[args.experiment]
         tau = args.tau  # the full grid is preset["taus"]; one tau per config
         cfg = configparser.ConfigParser()
-        cfg["instance"] = {"kind": "coverage", "generator": "digraph",
-                           "n": str(args.n), "p": str(args.p),
-                           "seed": str(args.seed)}
+        if preset["kind"] == "influence":
+            cfg["instance"] = {"kind": "influence",
+                               **_influence_graphs(out, preset["cost"], args, rng),
+                               "seed": str(args.seed)}
+        else:
+            cfg["instance"] = {"kind": "coverage", "generator": "digraph",
+                               "n": str(args.n), "p": str(args.p),
+                               "seed": str(args.seed)}
         cfg["cost"] = {"variant": preset["cost"]}
         cfg["schedule"] = {"preset": preset["schedule"],
                            "count": str(args.count), "tau": str(tau),

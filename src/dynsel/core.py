@@ -1,9 +1,9 @@
-"""Bit-vector solutions, the objective/cost contracts and the evaluation
-counter shared by every solver.
+"""The objective/cost contracts and the evaluation counter shared by every
+solver.
 
-Solutions are characteristic vectors over a ground set of size n.  They are
-immutable after construction, so they can be stored in populations and shared
-across runs without defensive copies.
+A solution is its characteristic vector over a ground set of size n: a 1-d
+uint8 numpy array of 0/1 entries.  Solvers never write to a vector they have
+stored; a child is always a new array.
 """
 
 from __future__ import annotations
@@ -25,58 +25,6 @@ def substream(seed, *labels):
     """
     keys = [zlib.crc32(str(label).encode("utf-8")) for label in labels]
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *keys]))
-
-
-class Solution:
-    """Immutable subset of the ground set, stored as a 0/1 vector."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        b = np.ascontiguousarray(bits, dtype=np.uint8)
-        if b.ndim != 1 or b.size < 1:
-            raise ValueError("bits must be a non-empty 1-d vector")
-        if b.max(initial=0) > 1:
-            raise ValueError("bits must be 0/1")
-        b.setflags(write=False)
-        object.__setattr__(self, "bits", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Solution is immutable")
-
-    @classmethod
-    def empty(cls, n: int) -> "Solution":
-        if n < 1:
-            raise ValueError("ground set must have n >= 1")
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Solution":
-        bits = np.zeros(n, dtype=np.uint8)
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("index out of range")
-        bits[idx] = 1
-        return cls(bits)
-
-    @property
-    def n(self) -> int:
-        return self.bits.size
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-    def size(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other):
-        return isinstance(other, Solution) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
-    def __repr__(self):
-        return f"Solution({''.join(map(str, self.bits.tolist()))})"
 
 
 class ObjectiveFn:

@@ -1,27 +1,26 @@
 """Budget-change schedules and the dynamic run harness.
 
-A run walks a schedule of signed budget perturbations.  Between changes the
-iterative solvers (POMC, EAMC, NSGA-II) get exactly `tau` evaluations; the
-greedy procedures react to each change directly and their evaluations are
-recorded but not charged against tau.  The best feasible solution is
-snapshotted right before every change (and once more at the end), so a
-schedule with k deltas yields k + 1 records.
+A run walks a schedule of signed budget perturbations through one solver
+protocol, the same for all six algorithms: the solver is built at the
+initial budget and warmed up, then every change is `set_budget(b)`,
+`run(tau)` and `answer_value()`.  The iterative solvers (POMC, EAMC,
+NSGA-II) spend exactly `tau` evaluations between changes; the greedy
+procedures react to each change in `set_budget`, and their evaluations are
+recorded but not charged against tau.  The answer is snapshotted right
+before every change (and once more at the end), so a schedule with k
+deltas yields k + 1 records.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
+from .algorithms import (AdaptiveGreedy, Eamc, Gga, NoFeasibleMemberError,
+                         Nsga2, Pomc)
+from .core import EvalCounter, substream
 
-from .algorithms import (AdaptiveGreedy, Eamc, NoFeasibleMemberError, Nsga2,
-                         Pomc, ScanMemo, gga)
-from .core import EvalCounter, Solution, substream
-
-ITERATIVE_ALGORITHMS = ("pomc", "pomc-wp", "eamc", "nsga2")
-GREEDY_ALGORITHMS = ("gga", "adgga")
-ALL_ALGORITHMS = GREEDY_ALGORITHMS + ITERATIVE_ALGORITHMS
+ALL_ALGORITHMS = ("gga", "adgga", "pomc", "pomc-wp", "eamc", "nsga2")
 
 DEFAULT_WARMUP_EVALS = 10_000  # POMC^wp: evaluations before the first change
 
@@ -134,7 +133,7 @@ def load_schedule(path) -> BudgetSchedule:
 
 @dataclass
 class RunRecord:
-    """Snapshot of the best feasible solution at the end of one epoch."""
+    """(f, cost) of the answer at the end of one epoch."""
 
     change_index: int
     budget: float
@@ -143,7 +142,6 @@ class RunRecord:
     best_cost: float
     evaluations: int
     wall_ms: float
-    solution: Solution | None = field(default=None, repr=False)
 
 
 RUN_CSV_COLUMNS = ("run_id", "seed", "change_index", "budget", "algorithm",
@@ -178,30 +176,20 @@ def read_run_csv(path):
 
 
 def make_solver(name, f, c, budget, rng, params=None, counter=None):
-    """Construct an iterative solver by name."""
+    """Construct a solver by algorithm name."""
     params = params or {}
+    if name == "gga":
+        return Gga(f, c, budget, counter=counter)
+    if name == "adgga":
+        return AdaptiveGreedy(f, c, budget, counter=counter)
     if name in ("pomc", "pomc-wp"):
         return Pomc(f, c, budget, rng, counter=counter)
     if name == "eamc":
-        return Eamc(f, c, budget, rng, alpha=params.get("alpha", 1.0),
-                    counter=counter)
+        return Eamc(f, c, budget, rng, counter=counter)
     if name == "nsga2":
-        return Nsga2(f, c, budget, rng,
-                     delta_cap=params.get("delta_cap", 1.0),
-                     f_max=params.get("f_max"), c_max=params.get("c_max"),
-                     pop_size=params.get("pop_size", 20),
-                     crossover_rate=params.get("crossover_rate", 0.9),
+        return Nsga2(f, c, budget, rng, delta_cap=params.get("delta_cap", 1.0),
                      counter=counter)
-    raise ValueError(f"{name!r} is not an iterative algorithm")
-
-
-def warmup(name, f, c, b_init, evals, rng, params=None, counter=None):
-    """Run an iterative solver for `evals` evaluations at the initial bound."""
-    if evals < 0:
-        raise ValueError("warm-up evaluations must be non-negative")
-    solver = make_solver(name, f, c, b_init, rng, params=params, counter=counter)
-    solver.run(evals)
-    return solver
+    raise ValueError(f"unknown algorithm {name!r}")
 
 
 def _solver_answer(solver):
@@ -214,50 +202,26 @@ def _solver_answer(solver):
 def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     """Execute one algorithm over one change sequence.
 
-    Iterative algorithms report the evaluations counted since warm-up
-    (exact multiples of tau); greedy algorithms report their actual
-    evaluation counter, which is kept outside the tau budget.
+    Each record reports the evaluations counted since warm-up: exact
+    multiples of tau for the iterative algorithms, the greedy procedures'
+    own scans, which are kept outside the tau budget, for gga and adgga.
     """
-    if name not in ALL_ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}")
     params = params or {}
-    rng = substream(seed, "run", name)
-    budgets = schedule.budgets()
-    tau = schedule.tau
-    records = []
-
-    if name in GREEDY_ALGORITHMS:
-        counter = EvalCounter()
-        adaptive = None
-        memo = ScanMemo()  # gga: scans repeated from the previous change
-        for i, b in enumerate(budgets):
-            t0 = time.perf_counter()
-            if name == "gga":
-                memo.next_change()
-                sol = gga(f, c, b, counter=counter, memo=memo)
-            elif adaptive is None:
-                adaptive = AdaptiveGreedy(f, c, b, counter=counter)
-                sol = adaptive.answer()
-            else:
-                sol = adaptive.update(b)
-            wall = (time.perf_counter() - t0) * 1000
-            records.append(RunRecord(i, b, name, float(f(sol.bits)),
-                                     float(c(sol.bits)), counter.count, wall,
-                                     solution=sol))
-        return records
-
-    # iterative algorithms
-    counter = EvalCounter()
     warmup_evals = int(params.get("warmup_evals",
                                   DEFAULT_WARMUP_EVALS if name == "pomc-wp" else 0))
-    solver = warmup(name, f, c, budgets[0], warmup_evals, rng, params=params,
-                    counter=counter)
+    if warmup_evals < 0:
+        raise ValueError(f"[run] warmup must be non-negative, got {warmup_evals}")
+    budgets = schedule.budgets()
+    counter = EvalCounter()
+    solver = make_solver(name, f, c, budgets[0], substream(seed, "run", name),
+                         params=params, counter=counter)
+    solver.run(warmup_evals)
     warmed = counter.count
+    records = []
     for i, b in enumerate(budgets):
         t0 = time.perf_counter()
-        if i > 0:
-            solver.set_budget(b)
-        solver.run(tau)
+        solver.set_budget(b)
+        solver.run(schedule.tau)
         best_f, best_cost = _solver_answer(solver)
         wall = (time.perf_counter() - t0) * 1000
         records.append(RunRecord(i, b, name, best_f, best_cost,

@@ -367,16 +367,11 @@ class RoutingCost(CostFn):
         return float(cost)
 
 
-COST_VARIANTS = ("cardinality", "linear", "random-linear", "outdegree", "routing")
-
-
 def make_cost(variant, *, n=None, graph=None, weights=None, q=6, rng=None,
               influence=None) -> CostFn:
-    """Build a cost model by variant tag."""
+    """Build a cost model by the `[cost] variant` tag of a config."""
     if variant == "cardinality":
         return CardinalityCost(n if n is not None else graph.n)
-    if variant == "linear":
-        return LinearCost(weights)
     if variant == "random-linear":
         if weights is not None:
             return LinearCost(weights)
@@ -384,8 +379,12 @@ def make_cost(variant, *, n=None, graph=None, weights=None, q=6, rng=None,
     if variant == "outdegree":
         return outdegree_cost(graph, q=q)
     if variant == "routing":
+        if influence is None:
+            raise ValueError("[cost] variant = routing needs "
+                             "[instance] kind = influence")
         return RoutingCost(influence)
-    raise ValueError(f"unknown cost variant {variant!r}")
+    raise ValueError(f"[cost] variant: unknown {variant!r}, expected "
+                     "cardinality, random-linear, outdegree or routing")
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +524,6 @@ def load_dimacs(path) -> DirectedGraph:
     if len(edges) != m:
         raise GraphParseError(f"header declares {m} edges, found {len(edges)}")
     return DirectedGraph.from_edges(n, edges)
-
-
-def save_dimacs(graph: DirectedGraph, path) -> None:
-    edges = graph.edge_list()
-    with open(path, "w") as fh:
-        fh.write(f"p edge {graph.n} {len(edges)}\n")
-        for (u, v, _p, _w) in edges:
-            fh.write(f"e {u + 1} {v + 1}\n")
 
 
 def load_edge_list(path) -> DirectedGraph:

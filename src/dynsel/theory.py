@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .algorithms import AdaptiveGreedy, Pomc, knapsack_opt_value
 from .analysis import check_phi_approx
-from .core import Solution
 from .problems import CardinalityCost, gen_adversarial_knapsack, gen_bipartite_cover
 
 
@@ -26,34 +25,32 @@ class Trace(NamedTuple):
 
 
 def knapsack_increase_trace(n) -> Trace:
-    """AdGGA from the special item at B = 1, then n/2 unit increases: the
-    answer stays at 7/2 while the optimum grows to 3 + n/4 (DP oracle)."""
+    """AdGGA at B = 1, where its fill takes the special item alone, then
+    n/2 unit increases: the answer stays at 7/2 while the optimum grows to
+    3 + n/4 (DP oracle)."""
     inst = gen_adversarial_knapsack(n)
-    solver = AdaptiveGreedy(inst.objective, inst.cost, 1.0,
-                            initial=Solution.from_indices(n + 1, [n]))
     budget = 1.0
-    answer = solver.answer()
+    solver = AdaptiveGreedy(inst.objective, inst.cost, budget)
+    solver.set_budget(budget)
     for _ in range(n // 2):
         budget += 1.0
-        answer = solver.update(budget)
-    return Trace(inst.objective, inst.cost, budget,
-                 float(inst.objective(answer.bits)),
+        solver.set_budget(budget)
+    return Trace(inst.objective, inst.cost, budget, solver.answer_value()[0],
                  knapsack_opt_value(inst, budget))
 
 
 def bipartite_decrease_trace(n) -> Trace:
-    """AdGGA from the full set at B = n, then unit decreases down to
-    sqrt(n): the answer collapses to 2 sqrt(n) against the optimum
-    n - sqrt(n), which the sqrt(n) hub nodes attain."""
+    """AdGGA at B = n, where its fill takes the full set, then unit
+    decreases down to sqrt(n): the answer collapses to 2 sqrt(n) against
+    the optimum n - sqrt(n), which the sqrt(n) hub nodes attain."""
     k = math.isqrt(n)
     inst = gen_bipartite_cover(n)
     cost = CardinalityCost(n)
-    solver = AdaptiveGreedy(inst.objective, cost, float(n),
-                            initial=Solution.from_indices(n, range(n)))
-    for b in range(n - 1, k - 1, -1):
-        answer = solver.update(float(b))
-    return Trace(inst.objective, cost, float(k),
-                 float(inst.objective(answer.bits)), float(n - k))
+    solver = AdaptiveGreedy(inst.objective, cost, float(n))
+    for b in range(n, k - 1, -1):
+        solver.set_budget(float(b))
+    return Trace(inst.objective, cost, float(k), solver.answer_value()[0],
+                 float(n - k))
 
 
 def pomc_phi_trial(f, c, budget, rng, optima=None):

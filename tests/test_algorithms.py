@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dynsel.algorithms import (AdaptiveGreedy, Eamc, NoFeasibleMemberError,
-                               Nsga2, Pomc, ScanMemo, TooLargeError, _eamc_g,
+from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
+                               NoFeasibleMemberError, Nsga2, Pomc, ScanMemo,
+                               TooLargeError, _eamc_g,
                                _fast_nondominated_sort, all_subsets,
                                brute_force_front, brute_force_opt, evaluate,
                                gga, knapsack_opt_value)
-from dynsel.core import (NEG_INF, EvalCounter, ObjectiveFn, Solution,
-                         phi_ratio, substream)
+from dynsel.core import NEG_INF, EvalCounter, ObjectiveFn, phi_ratio, substream
 from dynsel.problems import (CardinalityCost, CoverageInstance, LinearCost,
                              LinearObjective, gen_adversarial_knapsack,
                              gen_bipartite_cover, gen_random_digraph,
@@ -40,17 +40,17 @@ class TestEvaluate:
 
 class TestBruteForce:
     def test_g3_budget_one(self, g3_objective, card3):
-        sol, val = brute_force_opt(g3_objective, card3, 1.0)
-        assert val == 3.0 and sol.indices().tolist() == [0]
+        bits, val = brute_force_opt(g3_objective, card3, 1.0)
+        assert val == 3.0 and bits.tolist() == [1, 0, 0]
 
     def test_adversarial_budget_three(self, knapsack4):
-        sol, val = brute_force_opt(knapsack4.objective, knapsack4.cost, 3.0)
+        bits, val = brute_force_opt(knapsack4.objective, knapsack4.cost, 3.0)
         assert val == 4.0  # 3 + n/4 at n=4
-        assert 4 in sol.indices().tolist()  # special item plus one (2,1) item
+        assert bits[4] == 1  # special item plus one (2,1) item
 
     def test_zero_budget(self, g3_objective, card3):
-        sol, val = brute_force_opt(g3_objective, card3, 0.0)
-        assert sol.size() == 0 and val == 0.0
+        bits, val = brute_force_opt(g3_objective, card3, 0.0)
+        assert bits.sum() == 0 and val == 0.0
 
     def test_cap(self):
         f = LinearObjective(np.ones(25))
@@ -89,25 +89,25 @@ class TestBruteForce:
 
 class TestGga:
     def test_g3_budget_one(self, g3_objective, card3):
-        sol = gga(g3_objective, card3, 1.0)
-        assert sol.indices().tolist() == [0]
-        assert g3_objective(sol.bits) == 3.0
+        bits, fval, cost = gga(g3_objective, card3, 1.0)
+        assert bits.tolist() == [1, 0, 0]
+        assert (fval, cost) == (g3_objective(bits), card3(bits)) == (3.0, 1.0)
 
     def test_adversarial_budget_one(self, knapsack4):
-        sol = gga(knapsack4.objective, knapsack4.cost, 1.0)
-        assert sol.indices().tolist() == [4]
+        bits, _f, _cost = gga(knapsack4.objective, knapsack4.cost, 1.0)
+        assert bits.nonzero()[0].tolist() == [4]
 
     def test_zero_budget(self, knapsack4):
-        sol = gga(knapsack4.objective, knapsack4.cost, 0.0)
-        assert sol.size() == 0
+        bits, fval, cost = gga(knapsack4.objective, knapsack4.cost, 0.0)
+        assert bits.sum() == 0 and (fval, cost) == (0.0, 0.0)
 
     def test_result_feasible(self):
         for seed in range(5):
             f = CoverageInstance(
                 gen_random_digraph(10, 0.2, substream(seed, "gga-f"))).objective
             c = random_linear_cost(10, substream(seed, "gga-c"))
-            sol = gga(f, c, 1.5)
-            assert c(sol.bits) <= 1.5
+            bits, fval, cost = gga(f, c, 1.5)
+            assert c(bits) == cost <= 1.5 and f(bits) == fval
 
     def test_phi_guarantee_small_instances(self):
         phi = phi_ratio(1.0)
@@ -117,7 +117,7 @@ class TestGga:
                 gen_random_digraph(n, 0.2, substream(seed, "gga-phi"))).objective
             c = CardinalityCost(n)
             _sol, opt = brute_force_opt(f, c, 3.0)
-            got = f(gga(f, c, 3.0).bits)
+            got = gga(f, c, 3.0)[1]
             assert got >= phi * opt - 1e-9
 
     def test_decreasing_objective_does_not_crash(self):
@@ -128,8 +128,8 @@ class TestGga:
             def __call__(self, bits):
                 return -10.0 * float(bits.sum())
 
-        sol = gga(Decreasing(), CardinalityCost(4), 2.0)
-        assert sol.indices().tolist() == [0]
+        bits, _f, _cost = gga(Decreasing(), CardinalityCost(4), 2.0)
+        assert bits.nonzero()[0].tolist() == [0]
 
     def test_relabeling_invariance(self):
         # instance with a unique argmax at every step
@@ -138,9 +138,10 @@ class TestGga:
         perm = [2, 0, 3, 1]
         f2 = LinearObjective([f.values[p] for p in perm])
         c2 = LinearCost([1.0] * 4)
-        sol = gga(f, c, 2.0)
-        sol2 = gga(f2, c2, 2.0)
-        assert sorted(perm[i] for i in sol2.indices()) == sorted(sol.indices())
+        bits = gga(f, c, 2.0)[0]
+        bits2 = gga(f2, c2, 2.0)[0]
+        assert sorted(perm[i] for i in bits2.nonzero()[0]) == \
+               bits.nonzero()[0].tolist()
 
     def test_memo_saves_calls_not_evaluations(self):
         g = gen_random_digraph(12, 0.25, substream(4, "gga-memo"))
@@ -148,13 +149,12 @@ class TestGga:
         c = random_linear_cost(12, substream(5, "gga-memo"))
         budgets = [1.0, 1.3, 0.9, 1.0, 1.4]
         plain, memoized = EvalCounter(), EvalCounter()
-        memo = ScanMemo()
+        solver = Gga(f, c, budgets[0], counter=memoized)
         for b in budgets:
             want = gga(f, c, b, counter=plain)
             calls = f.calls
-            memo.next_change()
-            got = gga(f, c, b, counter=memoized, memo=memo)
-            assert got.bits.tolist() == want.bits.tolist()
+            solver.set_budget(b)
+            assert solver.answer_value() == want[1:]
             assert memoized.count == plain.count
         assert f.calls - calls < 12  # the last scan mostly repeats earlier ones
 
@@ -177,34 +177,40 @@ class TestGga:
 
 class TestAdaptiveGreedy:
     def test_adversarial_increase_trace(self, knapsack4):
-        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0,
-                                initial=Solution.from_indices(5, [4]))
-        values = [knapsack4.objective(solver.update(b).bits) for b in (2.0, 3.0)]
+        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        solver.set_budget(1.0)  # the fill takes the special item alone
+        assert solver.x.nonzero()[0].tolist() == [4]
+        values = []
+        for b in (2.0, 3.0):
+            solver.set_budget(b)
+            values.append(solver.answer_value()[0])
         assert values == [3.25, 3.5]
         assert sorted(solver.x.nonzero()[0].tolist()) == [0, 1, 4]
 
     def test_unchanged_budget_keeps_state(self, knapsack4):
         solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        solver.set_budget(1.0)
         before = solver.x.copy()
-        solver.update(1.0)
+        solver.set_budget(1.0)
         assert np.array_equal(solver.x, before)
 
     def test_bipartite_decrease(self):
         inst = gen_bipartite_cover(16)
-        solver = AdaptiveGreedy(inst.objective, CardinalityCost(16), 16.0,
-                                initial=Solution.from_indices(16, range(16)))
-        answer = None
+        solver = AdaptiveGreedy(inst.objective, CardinalityCost(16), 16.0)
+        solver.set_budget(16.0)  # the fill takes the full set
+        assert solver.x.sum() == 16
         for b in range(15, 3, -1):
-            answer = solver.update(float(b))
-        assert inst.objective(answer.bits) == 8.0
+            solver.set_budget(float(b))
+        assert solver.answer_value() == (8.0, 4.0)
 
-    def test_singleton_answer_does_not_overwrite_state(self, knapsack4):
-        # start from a deliberately poor set; the answer may be the special
-        # singleton but the internal state keeps the working set
-        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0,
-                                initial=Solution.from_indices(5, [0]))
-        answer = solver.answer()
-        assert answer.indices().tolist() == [4]
+    def test_singleton_answer_does_not_overwrite_state(self):
+        # the ratio-greedy fill takes element 0 (ratio 2) and then cannot
+        # add element 1; the answer is the singleton {1} of value 3, but
+        # the working set stays {0}
+        solver = AdaptiveGreedy(LinearObjective([2.0, 3.0]),
+                                LinearCost([1.0, 2.0]), 2.0)
+        solver.set_budget(2.0)
+        assert solver.answer_value() == (3.0, 2.0)
         assert solver.x.nonzero()[0].tolist() == [0]
 
     def test_answer_feasible_after_decrease(self):
@@ -214,9 +220,19 @@ class TestAdaptiveGreedy:
                 gen_random_digraph(n, 0.25, substream(seed, "ad-f"))).objective
             c = random_linear_cost(n, substream(seed, "ad-c"))
             solver = AdaptiveGreedy(f, c, 3.0)
-            for b in (2.0, 1.0, 0.5):
-                sol = solver.update(b)
-                assert c(sol.bits) <= b + 1e-12
+            for b in (3.0, 2.0, 1.0, 0.5):
+                solver.set_budget(b)
+                fval, cost = solver.answer_value()
+                assert cost <= b + 1e-12
+
+    def test_answers_only_its_current_bound(self, knapsack4):
+        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        with pytest.raises(NoFeasibleMemberError):
+            solver.answer_value()  # no change made yet
+        solver.set_budget(1.0)
+        assert solver.answer_value(1.0) == solver.answer_value()
+        with pytest.raises(ValueError):
+            solver.answer_value(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +269,19 @@ class TestPomc:
         p.run(500)
         vectors = sorted(zip(p._f1, p._f2))
         assert (0.0, 0.0) in vectors and (3.0, -1.0) in vectors
-        assert p.answer(1.0).indices().tolist() == [0]
-        assert p.answer(0.0).size() == 0
+        assert p.answer_value(1.0) == (3.0, 1.0)  # {0}, the only value-3 single
+        assert p.answer_value(0.0) == (0.0, 0.0)
 
     def test_answer_after_budget_collapse(self, g3_objective, card3):
         p = self.make(g3_objective, card3, budget=3.0)
         p.run(300)
         p.set_budget(0.0)
-        assert p.answer().size() == 0  # all-zeros member is never removed
+        assert p.answer_value() == (0.0, 0.0)  # all-zeros member is never removed
 
     def test_no_feasible_member_error(self, g3_objective, card3):
         p = self.make(g3_objective, card3)
         with pytest.raises(NoFeasibleMemberError):
-            p.answer(-1.0)
+            p.answer_value(-1.0)
 
     def test_budget_change_is_free_and_keeps_population(self, g3_objective, card3):
         p = self.make(g3_objective, card3, budget=3.0)
@@ -282,14 +298,14 @@ class TestPomc:
         p = self.make(g3_objective, card3)
         base = p.counter.count
         for _ in range(37):
-            p.step()
+            p.run(1)
         p.run(63)
         assert p.counter.count - base == 100
 
     def test_invariants_after_steps(self, g3_objective, card3):
         p = self.make(g3_objective, card3)
         for _ in range(200):
-            p.step()
+            p.run(1)
             p.check_invariants()
 
 
@@ -475,7 +491,7 @@ class TestEamc:
         e.run(200)
         e.set_budget(0.0)
         assert list(e.bins) == [0]
-        assert e.answer().size() == 0
+        assert e.answer_value() == (0.0, 0.0)
 
     def test_zero_budget_with_zero_cost_element(self):
         # g's exp(-alpha * c / B) is 0 / 0 for a zero-cost member at B = 0
@@ -574,8 +590,7 @@ class TestNsga2:
         solver = self.make(g3_objective, card3, budget=2.0)
         solver.run(100)
         calls = solver.counter.count
-        assert solver.answer_value(-1.0) == (0.0, 0.0)
-        assert solver.answer(-1.0).size() == 0
+        assert solver.answer_value(-1.0) == (0.0, 0.0)  # the empty set
         assert solver.counter.count == calls
 
     def test_answer_feasible(self, g3_objective, card3):

@@ -6,7 +6,7 @@ import pytest
 from dynsel.algorithms import Pomc, brute_force_front, brute_force_opt
 from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              brute_force_baseline, check_phi_approx,
-                             chi2_sf, curvature, format_marks,
+                             chi2_sf, format_marks,
                              kruskal_wallis, norm_sf, offline_errors,
                              partial_offline_error, submodularity_ratio)
 from dynsel.core import substream
@@ -44,7 +44,7 @@ class TestPartialOfflineError:
         assert partial_offline_error(e, 1, 12) == pytest.approx(weighted)
 
     def test_accepts_error_series(self):
-        s = ErrorSeries(np.array([2.0, 4.0]), baseline_id="bf")
+        s = ErrorSeries(np.array([2.0, 4.0]))
         assert partial_offline_error(s, 1, 2) == 3.0
 
 
@@ -54,7 +54,7 @@ class TestOfflineErrors:
         c = CardinalityCost(8)
         s = BudgetSchedule(2.0, 1.0, 4.0, [1.0, -1.0, 1.0, 1.0], tau=100, r=1.0)
         records = run_dynamic("eamc", f, c, s, seed=1)
-        series = offline_errors(records, brute_force_baseline(f, c), "bf")
+        series = offline_errors(records, brute_force_baseline(f, c))
         assert (series.errors >= 0).all()
         assert len(series) == len(records)
 
@@ -216,34 +216,6 @@ class TestSubmodularityRatio:
         f = LinearObjective(np.ones(11))
         with pytest.raises(ValueError):
             submodularity_ratio(f)
-
-
-class TestCurvature:
-    def test_linear_is_zero(self):
-        assert curvature(LinearObjective([1.0, 2.0, 3.0])) == pytest.approx(0.0)
-
-    def test_g3_coverage(self, g3_objective):
-        # removing the leaf node 1 loses nothing: (3-3)/1 = 0, so kappa = 1
-        assert curvature(g3_objective) == 1.0
-
-    def test_min_cardinality_one(self):
-        class MinCard:
-            n = 2
-
-            def __call__(self, bits):
-                return float(min(bits.sum(), 1))
-
-        assert curvature(MinCard()) == 1.0
-
-    def test_zero_singleton_skipped_with_warning(self):
-        class ZeroFirst:
-            n = 2
-
-            def __call__(self, bits):
-                return float(bits[1])
-
-        with pytest.warns(UserWarning):
-            assert curvature(ZeroFirst()) == 0.0
 
 
 class TestCheckPhiApprox:

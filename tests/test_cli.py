@@ -12,7 +12,7 @@ from dynsel import cli
 from dynsel.cli import build_instance, main
 from dynsel.core import substream
 from dynsel.dynamics import load_schedule, read_run_csv
-from dynsel.problems import load_edge_list
+from dynsel.problems import bfs_reachable, load_edge_list
 
 
 def run_cli(*argv):
@@ -88,6 +88,32 @@ class TestGenerate:
         assert "variant = outdegree" in text
         assert "preset = outdegree" in text
         assert "gga,adgga,pomc-wp,eamc,nsga2" in text
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENT_PRESETS))
+    def test_every_preset_generates_runs_and_analyzes(self, tmp_path,
+                                                      experiment):
+        config = tmp_path / "exp.ini"
+        assert run_cli("generate", "config", "--experiment", experiment,
+                       "--n", 10, "--count", 2, "--tau", 10,
+                       "--run-seeds", 2, "--out", config) == 0
+        cfg = configparser.ConfigParser()
+        cfg.read(config)
+        preset = cli.EXPERIMENT_PRESETS[experiment]
+        assert cfg["instance"]["kind"] == preset["kind"]
+        assert cfg["cost"]["variant"] == preset["cost"]
+        if preset["kind"] == "influence":
+            assert cfg["instance"]["graph"] == "exp.social.edges"
+            if preset["cost"] == "routing":
+                assert cfg["instance"]["routing_graph"] == "exp.routing.edges"
+                routing = load_edge_list(tmp_path / "exp.routing.edges")
+                assert bfs_reachable(routing, [0]) == routing.n
+        assert run_cli("run", "--config", config) == 0
+        assert run_cli("analyze", "--results", tmp_path / "results") == 0
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["failed"] == [] and len(manifest["files"]) == \
+            2 * len(preset["algorithms"].split(","))
+        _f, _c, meta = build_instance(cfg, tmp_path)
+        assert ("influence" in meta) == (preset["kind"] == "influence")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +196,15 @@ class TestRun:
         config = write_config(tmp_path, algorithms="tabu")
         with pytest.raises(ValueError):
             run_cli("run", "--config", config)
+
+    @pytest.mark.parametrize("variant", ["linear", "routing"])
+    def test_unusable_cost_variant_refused(self, tmp_path, variant):
+        # `linear` has no weights to read (`random-linear` with a `costs`
+        # file is the linear cost); `routing` needs an influence instance
+        cfg = configparser.ConfigParser()
+        cfg.read(write_config(tmp_path, cost=variant))
+        with pytest.raises(ValueError, match=r"\[cost\] variant"):
+            build_instance(cfg, tmp_path)
 
 
 class TestAnalyze:

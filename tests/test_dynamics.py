@@ -5,7 +5,7 @@ from dynsel.algorithms import brute_force_opt
 from dynsel.core import EvalCounter, substream
 from dynsel.dynamics import (BudgetSchedule, gen_schedule, load_schedule,
                              make_solver, preset_schedule, read_run_csv,
-                             run_dynamic, save_schedule, warmup, write_run_csv)
+                             run_dynamic, save_schedule, write_run_csv)
 from dynsel.problems import (CardinalityCost, CoverageInstance,
                              gen_adversarial_knapsack, gen_random_digraph,
                              random_linear_cost)
@@ -153,7 +153,7 @@ class TestRunDynamic:
         s = BudgetSchedule(2.0, 1.0, 4.0, [1.0, -1.0], tau=0, r=1.0)
         records = run_dynamic("gga", f, c, s, seed=0)
         for rec in records:
-            assert rec.best_f == f(gga(f, c, rec.budget).bits)
+            assert (rec.best_f, rec.best_cost) == gga(f, c, rec.budget)[1:]
 
     def test_replay_bit_identical(self):
         f, c = coverage_setup(n=10, seed=8)
@@ -180,13 +180,17 @@ class TestRunDynamic:
 
 class TestWarmup:
     def test_zero_evals_plain_solver(self, g3_objective, card3):
-        solver = warmup("pomc", g3_objective, card3, 2.0, 0,
-                        substream(0, "w"))
-        assert len(solver) == 1  # untouched initial population
+        s = BudgetSchedule(2.0, 1.0, 3.0, [1.0], tau=0, r=1.0)
+        records = run_dynamic("pomc-wp", g3_objective, card3, s, seed=0,
+                              params={"warmup_evals": 0})
+        # the untouched initial population answers the empty set
+        assert [(r.best_f, r.evaluations) for r in records] == [(0.0, 0)] * 2
 
     def test_negative_evals_rejected(self, g3_objective, card3):
-        with pytest.raises(ValueError):
-            warmup("pomc", g3_objective, card3, 2.0, -1, substream(0, "w"))
+        s = BudgetSchedule(2.0, 1.0, 3.0, [1.0], tau=1, r=1.0)
+        with pytest.raises(ValueError, match="warmup"):
+            run_dynamic("pomc", g3_objective, card3, s, seed=0,
+                        params={"warmup_evals": -1})
 
     def test_warmup_excluded_from_epoch_accounting(self):
         f, c = coverage_setup()

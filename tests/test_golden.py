@@ -282,7 +282,7 @@ def test_greedy_extend_matches_naive_rescan(seed):
     budget = float(c(start)) + float(rng.uniform(0.0, 0.5)) * float(c(np.ones(n, np.uint8)))
     want_counter, got_counter = EvalCounter(), EvalCounter()
     want_x, want_fx = naive_greedy_extend(f, c, start, budget, want_counter)
-    got_x, got_fx, _ = _greedy_extend(f, c, start, budget, got_counter)
+    got_x, got_fx, _cx, _ = _greedy_extend(f, c, start, budget, got_counter)
     assert got_x.tolist() == want_x.tolist()
     assert got_fx == want_fx
     assert got_counter.count == want_counter.count
