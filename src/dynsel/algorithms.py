@@ -660,29 +660,30 @@ class Nsga2:
 
     Solutions with cost up to budget + delta_cap are kept unpenalized to
     prepare for upcoming changes; beyond that, both objectives are pushed
-    into the dominated region proportionally to the violation.  Once per
+    into the dominated region proportionally to the violation, scaled by
+    f_max = f(V) and c_max = c(V).  Once per
     sort, the best feasible member's crowding distance is set to +inf so it
     survives truncation.
     """
 
-    def __init__(self, f, c, budget, rng, *, delta_cap, f_max=None, c_max=None,
-                 pop_size=20, crossover_rate=0.9, counter=None):
+    pop_size = 20
+    crossover_rate = 0.9
+
+    def __init__(self, f, c, budget, rng, *, delta_cap, counter=None):
         self.f = f
         self.c = c
         self.n = f.n
         self.budget = float(budget)
         self.delta_cap = float(delta_cap)
         self.rng = rng
-        self.pop_size = pop_size
-        self.crossover_rate = crossover_rate
         self.counter = counter if counter is not None else EvalCounter()
         full = np.ones(self.n, dtype=np.uint8)
-        self.f_max = float(f(full)) if f_max is None else float(f_max)
-        self.c_max = float(c(full)) if c_max is None else float(c_max)
+        self.f_max = float(f(full))
+        self.c_max = float(c(full))
         zeros = np.zeros(self.n, dtype=np.uint8)
         self.seed_individual = _Individual(
             zeros, *evaluate(f, c, zeros, self.counter, POS_INF))
-        self.parents = [self.seed_individual] * pop_size
+        self.parents = [self.seed_individual] * self.pop_size
 
     def set_budget(self, budget) -> None:
         """Penalties are derived from cached raw values, so a change costs

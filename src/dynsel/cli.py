@@ -28,14 +28,15 @@ from .analysis import (bonferroni_posthoc, brute_force_baseline,
                        observed_baseline, offline_errors,
                        partial_offline_error)
 from .core import substream
-from .dynamics import (ALL_ALGORITHMS, SCHEDULE_PRESETS, gen_schedule,
+from .dynamics import (ALL_ALGORITHMS, SCHEDULE_KEYS, SCHEDULE_PRESETS,
                        load_schedule, preset_schedule, read_run_csv,
                        run_dynamic, save_schedule, write_run_csv)
 from .problems import (CoverageInstance, DirectedGraph, IcSpreadObjective,
-                       InfluenceInstance, bfs_reachable, bipartite_cover_graph,
+                       InfluenceInstance, bfs_reachable,
                        gen_adversarial_knapsack, gen_ba_graph,
                        gen_bipartite_cover, gen_er_graph, gen_random_digraph,
-                       load_dimacs, load_edge_list, make_cost, save_edge_list)
+                       load_dimacs, load_edge_list, make_cost,
+                       random_linear_cost, save_edge_list)
 from .theory import (bipartite_decrease_trace, knapsack_increase_trace,
                      pomc_phi_trial)
 
@@ -56,6 +57,11 @@ EXPERIMENT_PRESETS = {
                              taus=(100, 1000, 5000, 15000, 45000),
                              algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
 }
+
+
+# the config keys that name input files, relative to the config
+INPUT_KEYS = (("instance", "graph"), ("instance", "routing_graph"),
+              ("cost", "costs"), ("schedule", "path"))
 
 
 def _config_hash(text: str) -> str:
@@ -99,34 +105,31 @@ def _influence_graphs(out: Path, cost: str, args, rng) -> dict:
     return keys
 
 
+def _write_costs(path, n, seed, rng) -> None:
+    """Write random-linear per-node weights, one per line, under a header
+    naming their size and seed."""
+    with open(path, "w") as fh:
+        fh.write(f"# random-linear costs n={n} seed={seed} dynsel={__version__}\n")
+        for w in random_linear_cost(n, rng).weights:
+            fh.write(f"{float(w)!r}\n")
+
+
 def cmd_generate(args) -> int:
     rng = substream(args.seed, "generate", args.kind)
     out = Path(args.out)
     if args.kind == "schedule":
-        if args.preset:
-            sched = preset_schedule(args.preset, rng, count=args.count,
-                                    tau=args.tau, seed=args.seed)
-        else:
-            sched = gen_schedule(args.binit, args.bmin, args.bmax, args.r,
-                                 args.count, args.tau, rng,
-                                 integer_deltas=args.integer_deltas,
-                                 seed=args.seed)
-        save_schedule(sched, out)
+        given = {param: getattr(args, key) for key, param in SCHEDULE_KEYS.items()
+                 if getattr(args, key) is not None}
+        if args.integer_deltas:
+            given["integer_deltas"] = True
+        save_schedule(preset_schedule(args.preset, rng, count=args.count,
+                                      tau=args.tau, seed=args.seed, **given), out)
     elif args.kind == "ba":
         graph = gen_ba_graph(args.n, m=args.m, rng=rng, edge_prob=args.edge_prob)
         save_edge_list(graph, out)
     elif args.kind == "er":
         graph = gen_er_graph(args.n, args.p, rng)
         save_edge_list(graph, out)
-    elif args.kind == "adversarial-knapsack":
-        inst = gen_adversarial_knapsack(args.n)
-        with open(out, "w") as fh:
-            fh.write(f"# adversarial knapsack n={args.n} dynsel={__version__}\n")
-            for (c, v) in inst.items:
-                fh.write(f"{c!r} {v!r}\n")
-    elif args.kind == "bipartite-cover":
-        inst = gen_bipartite_cover(args.n)
-        save_edge_list(bipartite_cover_graph(inst), out)
     elif args.kind == "config":
         if not args.experiment:
             raise ValueError("config generation needs --experiment")
@@ -138,10 +141,16 @@ def cmd_generate(args) -> int:
                                **_influence_graphs(out, preset["cost"], args, rng),
                                "seed": str(args.seed)}
         else:
-            cfg["instance"] = {"kind": "coverage", "generator": "digraph",
-                               "n": str(args.n), "p": str(args.p),
-                               "seed": str(args.seed)}
+            graph = out.with_name(f"{out.stem}.graph.edges")
+            save_edge_list(gen_random_digraph(
+                args.n, args.p, substream(args.seed, "instance", "coverage"),
+                edge_prob=args.edge_prob), graph)
+            cfg["instance"] = {"kind": "coverage", "graph": graph.name}
         cfg["cost"] = {"variant": preset["cost"]}
+        if preset["cost"] == "random-linear":
+            costs = out.with_name(f"{out.stem}.costs")
+            _write_costs(costs, args.n, args.seed, substream(args.seed, "costs"))
+            cfg["cost"]["costs"] = costs.name
         cfg["schedule"] = {"preset": preset["schedule"],
                            "count": str(args.count), "tau": str(tau),
                            "seed": str(args.seed)}
@@ -152,12 +161,7 @@ def cmd_generate(args) -> int:
                      f"seed={args.seed}\n")
             cfg.write(fh)
     elif args.kind == "random-costs":
-        costs = 1.0 - rng.random(args.n)
-        with open(out, "w") as fh:
-            fh.write(f"# random-linear costs n={args.n} seed={args.seed} "
-                     f"dynsel={__version__}\n")
-            for w in costs:
-                fh.write(f"{float(w)!r}\n")
+        _write_costs(out, args.n, args.seed, rng)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     print(f"wrote {out}")
@@ -185,38 +189,42 @@ def load_costs_file(path) -> np.ndarray:
     return np.asarray(costs)
 
 
+def _input_file(section, key, base_dir: Path, why: str) -> Path:
+    """The file that config key `section.key` names, relative to `base_dir`."""
+    name = section.get(key)
+    if not name:
+        raise ValueError(f"[{section.name}] {key} is required {why}: name a "
+                         "file, e.g. one written by `dynsel generate config`")
+    return base_dir / name
+
+
 def build_instance(cfg, base_dir: Path):
-    """Build (f, c, meta) from the [instance] and [cost] config sections."""
+    """Build (f, c, meta) from the [instance] and [cost] config sections.
+
+    Graphs and cost weights are read from the files the config names,
+    relative to `base_dir`; nothing is generated or written here.
+    """
     inst_sec = cfg["instance"]
     cost_sec = cfg["cost"] if cfg.has_section("cost") else {}
     kind = inst_sec.get("kind", "coverage")
-    seed = inst_sec.getint("seed", 0)
-    rng = substream(seed, "instance", kind)
-    meta = {"kind": kind, "seed": seed}
 
     if kind == "adversarial-knapsack":
+        if "variant" in cost_sec:
+            raise ValueError("[cost] variant: kind = adversarial-knapsack "
+                             "carries its own linear cost; set no variant")
         inst = gen_adversarial_knapsack(inst_sec.getint("n"))
-        return inst.objective, inst.cost, meta
+        return inst.objective, inst.cost, {}
 
+    variant = cost_sec.get("variant", "cardinality")
+    meta = {"cost_variant": variant}
+    graph = None
     if kind == "bipartite-cover":
         inst = gen_bipartite_cover(inst_sec.getint("n"))
         f = inst.objective
         n = inst.n
     elif kind in ("coverage", "influence"):
-        if inst_sec.get("graph"):
-            graph = load_graph(base_dir / inst_sec.get("graph"))
-        else:
-            generator = inst_sec.get("generator", "digraph")
-            n = inst_sec.getint("n")
-            p = inst_sec.getfloat("p", 0.1)
-            if generator == "er":
-                graph = gen_er_graph(n, p, rng)
-            elif generator == "ba":
-                graph = gen_ba_graph(n, m=inst_sec.getint("m", 2), rng=rng,
-                                     edge_prob=inst_sec.getfloat("edge_prob", 0.1))
-            else:
-                graph = gen_random_digraph(n, p, rng,
-                                           edge_prob=inst_sec.getfloat("edge_prob", 0.1))
+        graph = load_graph(_input_file(inst_sec, "graph", base_dir,
+                                       f"for kind = {kind}"))
         n = graph.n
         if kind == "coverage":
             f = CoverageInstance(graph).objective
@@ -229,58 +237,42 @@ def build_instance(cfg, base_dir: Path):
                 simulations=inst_sec.getint("simulations", 500),
                 routing_graph=routing,
                 per_node_cost=inst_sec.getfloat("per_node_cost", 0.1))
-            f = IcSpreadObjective(influence, substream(seed, "ic"))
+            f = IcSpreadObjective(influence,
+                                  substream(inst_sec.getint("seed", 0), "ic"))
             meta["influence"] = influence
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
 
-    variant = cost_sec.get("variant", "cardinality")
-    meta["cost_variant"] = variant
     weights = None
     if variant == "random-linear":
-        costs_path = cost_sec.get("costs")
-        if costs_path and (base_dir / costs_path).exists():
-            weights = load_costs_file(base_dir / costs_path)
-        else:
-            # generated once from the master seed and persisted with the run
-            weights = 1.0 - substream(seed, "costs").random(n)
-            if costs_path:
-                with open(base_dir / costs_path, "w") as fh:
-                    for w in weights:
-                        fh.write(f"{float(w)!r}\n")
-    c = make_cost(variant, n=n,
-                  graph=graph if kind in ("coverage", "influence") else None,
-                  weights=weights, q=int(cost_sec.get("q", 6)), rng=rng,
+        weights = load_costs_file(_input_file(cost_sec, "costs", base_dir,
+                                              "for variant = random-linear"))
+        if weights.size != n:
+            raise ValueError(f"[cost] costs: {cost_sec.get('costs')} holds "
+                             f"{weights.size} weights for {n} nodes")
+    c = make_cost(variant, n=n, graph=graph, weights=weights,
                   influence=meta.get("influence"))
     return f, c, meta
 
 
 def build_schedule(cfg, base_dir: Path, run_seed: int):
+    """The schedule of run seed `run_seed`: read from `[schedule] path`, or
+    drawn from the preset's parameters with every given key laid over them."""
     sched_sec = cfg["schedule"]
     if sched_sec.get("path"):
         sched = load_schedule(base_dir / sched_sec.get("path"))
         if sched_sec.get("tau"):
             sched.tau = sched_sec.getint("tau")
         return sched
-    preset = sched_sec.get("preset")
-    base_seed = sched_sec.getint("seed", 0)
-    seed = base_seed + run_seed
-    rng = substream(seed, "schedule")
-    overrides = {}
-    for key in ("binit", "bmin", "bmax", "r"):
-        if sched_sec.get(key):
-            overrides[{"binit": "b_init", "bmin": "b_min",
-                       "bmax": "b_max", "r": "r"}[key]] = sched_sec.getfloat(key)
-    if preset:
-        return preset_schedule(preset, rng, count=sched_sec.getint("count", 200),
-                               tau=sched_sec.getint("tau", 1000), seed=seed,
-                               **overrides)
-    return gen_schedule(sched_sec.getfloat("binit"), sched_sec.getfloat("bmin"),
-                        sched_sec.getfloat("bmax"), sched_sec.getfloat("r"),
-                        sched_sec.getint("count", 200),
-                        sched_sec.getint("tau", 1000), rng,
-                        integer_deltas=sched_sec.getboolean("integer_deltas", False),
-                        seed=seed)
+    seed = sched_sec.getint("seed", 0) + run_seed
+    given = {param: sched_sec.getfloat(key) for key, param in SCHEDULE_KEYS.items()
+             if sched_sec.get(key)}
+    if sched_sec.get("integer_deltas"):
+        given["integer_deltas"] = sched_sec.getboolean("integer_deltas")
+    return preset_schedule(sched_sec.get("preset") or None,
+                           substream(seed, "schedule"),
+                           count=sched_sec.getint("count", 200),
+                           tau=sched_sec.getint("tau", 1000), seed=seed, **given)
 
 
 def _run_seeds(run_sec):
@@ -301,8 +293,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copy(config_path, out_dir / "config.ini")
     # copy referenced inputs so the output directory is a self-contained bundle
-    for section, key in (("instance", "graph"), ("instance", "routing_graph"),
-                         ("cost", "costs"), ("schedule", "path")):
+    for section, key in INPUT_KEYS:
         if cfg.has_section(section) and cfg[section].get(key):
             src = base_dir / cfg[section].get(key)
             dst = out_dir / cfg[section].get(key)
@@ -517,9 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate instances and schedules")
-    gen.add_argument("kind", choices=["ba", "er", "adversarial-knapsack",
-                                      "bipartite-cover", "schedule",
-                                      "random-costs", "config"])
+    gen.add_argument("kind", choices=["ba", "er", "schedule", "random-costs",
+                                      "config"])
     gen.add_argument("--experiment", choices=sorted(EXPERIMENT_PRESETS))
     gen.add_argument("--run-seeds", type=int, default=30,
                      help="number of run seeds for generated configs")

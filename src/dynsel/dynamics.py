@@ -65,6 +65,8 @@ def gen_schedule(b_init, b_min, b_max, r, count, tau, rng,
     in [-r, r] when `integer_deltas` is set."""
     if r <= 0:
         raise ValueError("r must be positive")
+    if integer_deltas and r < 1:
+        raise ValueError(f"integer deltas need r >= 1, got r = {r!r}")
     if count < 1:
         raise ValueError("need at least one change")
     deltas = []
@@ -91,11 +93,20 @@ SCHEDULE_PRESETS = {
 }
 
 
-def preset_schedule(name, rng, count=200, tau=1000, seed=None, **overrides):
-    if name not in SCHEDULE_PRESETS:
+# schedule file keys, config keys and `generate schedule` flags, by the
+# gen_schedule parameter each one sets
+SCHEDULE_KEYS = {"binit": "b_init", "bmin": "b_min", "bmax": "b_max", "r": "r"}
+
+
+def preset_schedule(name, rng, count=200, tau=1000, seed=None, **given):
+    """Schedule from preset `name`'s parameters with every `given` one laid
+    over them; with `name` None, `given` must hold all of SCHEDULE_KEYS."""
+    if name is not None and name not in SCHEDULE_PRESETS:
         raise ValueError(f"unknown schedule preset {name!r}")
-    params = dict(SCHEDULE_PRESETS[name])
-    params.update(overrides)
+    params = {**SCHEDULE_PRESETS.get(name, {}), **given}
+    missing = [key for key, param in SCHEDULE_KEYS.items() if param not in params]
+    if missing:
+        raise ValueError(f"schedule needs a preset or {', '.join(missing)}")
     return gen_schedule(count=count, tau=tau, rng=rng, seed=seed, **params)
 
 

@@ -367,17 +367,18 @@ class RoutingCost(CostFn):
         return float(cost)
 
 
-def make_cost(variant, *, n=None, graph=None, weights=None, q=6, rng=None,
+def make_cost(variant, *, n=None, graph=None, weights=None,
               influence=None) -> CostFn:
     """Build a cost model by the `[cost] variant` tag of a config."""
     if variant == "cardinality":
         return CardinalityCost(n if n is not None else graph.n)
     if variant == "random-linear":
-        if weights is not None:
-            return LinearCost(weights)
-        return random_linear_cost(n if n is not None else graph.n, rng)
+        return LinearCost(weights)
     if variant == "outdegree":
-        return outdegree_cost(graph, q=q)
+        if graph is None:
+            raise ValueError("[cost] variant = outdegree needs a graph: "
+                             "[instance] kind = coverage or influence")
+        return outdegree_cost(graph)
     if variant == "routing":
         if influence is None:
             raise ValueError("[cost] variant = routing needs "
@@ -424,15 +425,6 @@ def gen_bipartite_cover(n: int) -> BipartiteCoverInstance:
         for j in range(2, l + 1):
             cover_sets.append({base + (2 * j - 3) - 1, base + (2 * j - 2) - 1})
     return BipartiteCoverInstance(n=n, universe_size=k * per_v, cover_sets=cover_sets)
-
-
-def bipartite_cover_graph(inst: BipartiteCoverInstance) -> DirectedGraph:
-    """Bipartite instance as a directed graph: U-nodes first, then V-nodes."""
-    edges = []
-    for u, s in enumerate(inst.cover_sets):
-        for v in sorted(s):
-            edges.append((u, inst.n + v))
-    return DirectedGraph.from_edges(inst.n + inst.universe_size, edges)
 
 
 def gen_ba_graph(n: int, m: int = 2, rng=None, edge_prob: float = 0.1) -> DirectedGraph:

@@ -12,7 +12,8 @@ from dynsel import cli
 from dynsel.cli import build_instance, main
 from dynsel.core import substream
 from dynsel.dynamics import load_schedule, read_run_csv
-from dynsel.problems import bfs_reachable, load_edge_list
+from dynsel.problems import (bfs_reachable, gen_random_digraph, load_edge_list,
+                             random_linear_cost, save_edge_list)
 
 
 def run_cli(*argv):
@@ -34,6 +35,16 @@ class TestGenerate:
         assert all(d in (-1.0, 1.0) for d in sched.deltas)
         assert sched.seed == 7
 
+    def test_schedule_preset_takes_given_flags(self, tmp_path):
+        out = tmp_path / "sched.txt"
+        run_cli("generate", "schedule", "--preset", "influence", "--binit", 7,
+                "--bmax", 12, "--r", 3, "--integer-deltas", "--count", 60,
+                "--out", out)
+        sched = load_schedule(out)
+        assert (sched.b_init, sched.b_min, sched.b_max, sched.r) == (7, 5, 12, 3)
+        assert all(d == int(d) and 0 < abs(d) <= 3 for d in sched.deltas)
+        assert any(abs(d) < 3 for d in sched.deltas)  # not two-point +-3
+
     def test_schedule_explicit_params(self, tmp_path):
         out = tmp_path / "s.txt"
         run_cli("generate", "schedule", "--binit", 5, "--bmin", 0, "--bmax",
@@ -42,13 +53,6 @@ class TestGenerate:
         sched = load_schedule(out)
         assert len(sched.deltas) == 30
         assert all(d == int(d) and d != 0 for d in sched.deltas)
-
-    def test_bipartite_cover_file(self, tmp_path):
-        out = tmp_path / "bip.edges"
-        run_cli("generate", "bipartite-cover", "--n", 16, "--out", out)
-        g = load_edge_list(out)
-        assert g.n == 40  # 16 U-nodes + 24 V-nodes
-        assert g.edge_count() == 36
 
     def test_er_edgeless(self, tmp_path):
         out = tmp_path / "er.edges"
@@ -62,13 +66,22 @@ class TestGenerate:
         g = load_edge_list(out)
         assert g.n == 25 and g.edge_count() > 0
 
-    def test_adversarial_knapsack_file(self, tmp_path):
-        out = tmp_path / "ak.txt"
-        run_cli("generate", "adversarial-knapsack", "--n", 4, "--out", out)
-        rows = [line.split() for line in out.read_text().splitlines()
-                if not line.startswith("#")]
-        assert [(float(a), float(b)) for a, b in rows] == [
-            (1.0, 0.25), (1.0, 0.25), (2.0, 1.0), (2.0, 1.0), (1.0, 3.0)]
+    def test_maxcov_config_writes_its_graph_and_costs(self, tmp_path):
+        out = tmp_path / "exp.ini"
+        run_cli("generate", "config", "--experiment", "maxcov-random",
+                "--n", 15, "--p", 0.2, "--seed", 4, "--out", out)
+        cfg = configparser.ConfigParser()
+        cfg.read(out)
+        assert dict(cfg["instance"]) == {"kind": "coverage",
+                                         "graph": "exp.graph.edges"}
+        assert cfg["cost"]["costs"] == "exp.costs"
+        graph = load_edge_list(tmp_path / "exp.graph.edges")
+        want = gen_random_digraph(15, 0.2, substream(4, "instance", "coverage"),
+                                  edge_prob=0.1)
+        assert graph.edge_list() == want.edge_list()
+        weights = cli.load_costs_file(tmp_path / "exp.costs")
+        assert weights.tolist() == \
+            random_linear_cost(15, substream(4, "costs")).weights.tolist()
 
     def test_random_costs_file(self, tmp_path):
         out = tmp_path / "costs.txt"
@@ -108,8 +121,15 @@ class TestGenerate:
                 routing = load_edge_list(tmp_path / "exp.routing.edges")
                 assert bfs_reachable(routing, [0]) == routing.n
         assert run_cli("run", "--config", config) == 0
-        assert run_cli("analyze", "--results", tmp_path / "results") == 0
-        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        bundle = tmp_path / "results"
+        named = [cfg[section][key] for section, key in cli.INPUT_KEYS
+                 if cfg.has_option(section, key)]
+        assert named  # every preset reads at least its graph from a file
+        for name in named:
+            assert (bundle / name).read_bytes() == (tmp_path / name).read_bytes()
+        moved = bundle.rename(tmp_path / "moved")
+        assert run_cli("analyze", "--results", moved) == 0
+        manifest = json.loads((moved / "manifest.json").read_text())
         assert manifest["failed"] == [] and len(manifest["files"]) == \
             2 * len(preset["algorithms"].split(","))
         _f, _c, meta = build_instance(cfg, tmp_path)
@@ -205,6 +225,77 @@ class TestRun:
         cfg.read(write_config(tmp_path, cost=variant))
         with pytest.raises(ValueError, match=r"\[cost\] variant"):
             build_instance(cfg, tmp_path)
+
+
+def read_config(path, **sections):
+    """The config at `path` with each of `sections`' keys set, or removed
+    where the value is None."""
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    for section, keys in sections.items():
+        if not cfg.has_section(section):
+            cfg.add_section(section)
+        for key, value in keys.items():
+            if value is None:
+                cfg.remove_option(section, key)
+            else:
+                cfg[section][key] = value
+    return cfg
+
+
+class TestInputs:
+    @pytest.mark.parametrize("instance", [
+        {"graph": None},
+        # a bundle from before graphs were files
+        {"graph": None, "generator": "digraph", "n": "10", "p": "0.2"}])
+    def test_missing_graph_refused(self, tmp_path, instance):
+        cfg = read_config(write_config(tmp_path), instance=instance)
+        with pytest.raises(ValueError, match=r"\[instance\] graph is required"):
+            build_instance(cfg, tmp_path)
+
+    def test_missing_costs_refused(self, tmp_path):
+        cfg = read_config(write_config(tmp_path, cost="random-linear"))
+        with pytest.raises(ValueError, match=r"\[cost\] costs is required"):
+            build_instance(cfg, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini",
+                                                              "g3.edges"]
+
+    def test_costs_of_wrong_length_refused(self, tmp_path):
+        (tmp_path / "c.txt").write_text("0.5\n0.25\n")
+        cfg = read_config(write_config(tmp_path, cost="random-linear"),
+                          cost={"costs": "c.txt"})
+        with pytest.raises(ValueError, match=r"\[cost\] costs"):
+            build_instance(cfg, tmp_path)
+
+    def test_run_and_analyze_write_only_into_results(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        run_cli("generate", "config", "--experiment", "maxcov-random",
+                "--n", 8, "--p", 0.3, "--count", 2, "--tau", 10,
+                "--run-seeds", 2, "--out", config)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("run", "--config", config) == 0
+        assert run_cli("analyze", "--results", tmp_path / "results") == 0
+        assert sorted(p for p in tmp_path.iterdir()
+                      if p.name != "results") == before
+
+    @pytest.mark.parametrize("kind, variant", [
+        ("bipartite-cover", "outdegree"),
+        ("adversarial-knapsack", "cardinality")])
+    def test_theory_kind_with_unusable_cost_refused(self, tmp_path, kind,
+                                                    variant):
+        cfg = read_config(write_config(tmp_path), instance={
+            "kind": kind, "n": "16", "graph": None}, cost={"variant": variant})
+        with pytest.raises(ValueError, match=r"\[cost\] variant"):
+            build_instance(cfg, tmp_path)
+
+    def test_preset_schedule_takes_integer_deltas(self, tmp_path):
+        cfg = read_config(write_config(tmp_path), schedule={
+            "preset": "influence", "binit": None, "bmin": None, "bmax": None,
+            "r": "3", "integer_deltas": "true", "count": "60"})
+        sched = cli.build_schedule(cfg, tmp_path, 0)
+        assert (sched.b_init, sched.b_min, sched.b_max, sched.r) == (10, 5, 30, 3)
+        assert all(d == int(d) and 0 < abs(d) <= 3 for d in sched.deltas)
+        assert any(abs(d) < 3 for d in sched.deltas)  # not two-point +-3
 
 
 class TestAnalyze:
@@ -307,10 +398,7 @@ class TestInfluence:
     CONFIG = """
 [instance]
 kind = influence
-generator = digraph
-n = 10
-p = 0.3
-edge_prob = 0.3
+graph = social.edges
 simulations = 30
 seed = 4
 
@@ -333,6 +421,8 @@ output = results
 """
 
     def write(self, tmp_path):
+        save_edge_list(gen_random_digraph(10, 0.3, substream(4, "instance", "influence"),
+                                          edge_prob=0.3), tmp_path / "social.edges")
         (tmp_path / "config.ini").write_text(self.CONFIG)
         return tmp_path / "config.ini"
 

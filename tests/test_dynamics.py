@@ -78,6 +78,16 @@ class TestSchedules:
         assert (back.b_init, back.b_min, back.b_max, back.tau, back.r,
                 back.seed) == (s.b_init, s.b_min, s.b_max, s.tau, s.r, s.seed)
 
+    def test_integer_deltas_below_one_refused(self):
+        # rng.integers(0, 1) is always 0, so this drew forever
+        with pytest.raises(ValueError, match="r"):
+            gen_schedule(1, 0, 3, 0.5, 3, 10, substream(0, "int"),
+                         integer_deltas=True)
+
+    def test_no_preset_needs_every_bound(self):
+        with pytest.raises(ValueError, match="bmax, r"):
+            preset_schedule(None, substream(0, "x"), b_init=1, b_min=0)
+
     def test_schedule_deterministic_given_seed(self):
         a = gen_schedule(10, 5, 30, 1, 50, 100, substream(9, "det"))
         b = gen_schedule(10, 5, 30, 1, 50, 100, substream(9, "det"))

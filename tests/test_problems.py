@@ -7,7 +7,7 @@ from dynsel.core import substream
 from dynsel.problems import (CardinalityCost, CoverageInstance, DirectedGraph,
                              DisconnectedSelectionError, GraphParseError,
                              InfluenceInstance, IcSpreadObjective, LinearCost,
-                             RoutingCost, bfs_reachable, bipartite_cover_graph,
+                             RoutingCost, bfs_reachable,
                              gen_adversarial_knapsack, gen_ba_graph,
                              gen_bipartite_cover, gen_er_graph,
                              gen_random_digraph, load_dimacs,
@@ -220,7 +220,8 @@ class TestCosts:
     def test_monotone_with_zero_empty_cost(self, variant):
         n = 6
         g = gen_random_digraph(n, 0.3, substream(7, "mono", variant))
-        c = make_cost(variant, n=n, graph=g, rng=substream(8, "mono", variant))
+        weights = random_linear_cost(n, substream(8, "mono", variant)).weights
+        c = make_cost(variant, n=n, graph=g, weights=weights)
         assert c(bits_of(n, [])) == 0.0
         for mask in range(1 << n):
             bits = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.uint8)
@@ -286,13 +287,6 @@ class TestBipartiteCover:
         inst = gen_bipartite_cover(16)
         picks = [i * 4 + 1 for i in range(4)]  # u_2 of each subgraph
         assert inst.objective(bits_of(16, picks)) == 8.0
-
-    def test_graph_export(self):
-        inst = gen_bipartite_cover(16)
-        g = bipartite_cover_graph(inst)
-        assert g.n == 16 + 24
-        # u_1 has 3 edges, u_2..u_4 have 2 each, per subgraph
-        assert g.edge_count() == 4 * (3 + 3 * 2)
 
     @pytest.mark.parametrize("n", [2, 15, 1])
     def test_rejects_bad_sizes(self, n):
