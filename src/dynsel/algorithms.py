@@ -395,7 +395,10 @@ class Pomc:
     def run(self, evals: int) -> None:
         """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
         and one evaluation (f1 = -inf iff cost > budget + 1); random draws
-        are taken in chunks.
+        are taken in chunks of 4096 parent draws, each chunk's mutation rows
+        in consecutive blocks of about 32768 draws.  `random((k, n))` fills
+        row by row, so the blocks take the same stream as one `(chunk, n)`
+        draw while holding about 256 KB of floats instead of 4096 n.
 
         A child whose mutation flips no bit equals its parent.  Its
         evaluation is still counted and cut off at the current bound, but
@@ -411,25 +414,26 @@ class Pomc:
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
         insert = self._insert
         rng_random = self.rng.random
+        block = max(1, 32768 // n)
         done = 0
         while done < evals:
             chunk = min(4096, evals - done)
             sel = rng_random(chunk).tolist()
-            mut = rng_random((chunk, n))
-            flips = mut < rate
-            flipped = flips.any(axis=1).tolist()
-            for j in range(chunk):
-                bits, pf1, pf2 = self._bits, self._f1, self._f2
-                k = int(sel[j] * len(bits))
-                if flipped[j]:
-                    child = bits[k] ^ flips[j]
-                    f1, cost = evaluate(f, c, child, counter, cutoff)
-                    insert(child, f1, -cost)
-                elif evaluate(f, c, bits[k], counter, cutoff,
-                              (pf1[k], -pf2[k]))[0] != NEG_INF:
-                    bits.append(bits.pop(k))
-                    pf1.append(pf1.pop(k))
-                    pf2.append(pf2.pop(k))
+            for start in range(0, chunk, block):
+                flips = rng_random((min(block, chunk - start), n)) < rate
+                flipped = flips.any(axis=1).tolist()
+                for j, u in enumerate(sel[start:start + len(flipped)]):
+                    bits, pf1, pf2 = self._bits, self._f1, self._f2
+                    k = int(u * len(bits))
+                    if flipped[j]:
+                        child = bits[k] ^ flips[j]
+                        f1, cost = evaluate(f, c, child, counter, cutoff)
+                        insert(child, f1, -cost)
+                    elif evaluate(f, c, bits[k], counter, cutoff,
+                                  (pf1[k], -pf2[k]))[0] != NEG_INF:
+                        bits.append(bits.pop(k))
+                        pf1.append(pf1.pop(k))
+                        pf2.append(pf2.pop(k))
             done += chunk
 
     def _best(self, budget):

@@ -114,14 +114,21 @@ def _write_costs(path, n, seed, rng) -> None:
             fh.write(f"{float(w)!r}\n")
 
 
+def _schedule_flags(args) -> dict:
+    """The schedule flags given on the command line, by `[schedule]` key."""
+    given = {key: getattr(args, key) for key in SCHEDULE_KEYS
+             if getattr(args, key) is not None}
+    if args.integer_deltas:
+        given["integer_deltas"] = True
+    return given
+
+
 def cmd_generate(args) -> int:
     rng = substream(args.seed, "generate", args.kind)
     out = Path(args.out)
     if args.kind == "schedule":
-        given = {param: getattr(args, key) for key, param in SCHEDULE_KEYS.items()
-                 if getattr(args, key) is not None}
-        if args.integer_deltas:
-            given["integer_deltas"] = True
+        given = {SCHEDULE_KEYS.get(key, key): value
+                 for key, value in _schedule_flags(args).items()}
         save_schedule(preset_schedule(args.preset, rng, count=args.count,
                                       tau=args.tau, seed=args.seed, **given), out)
     elif args.kind == "ba":
@@ -153,7 +160,9 @@ def cmd_generate(args) -> int:
             cfg["cost"]["costs"] = costs.name
         cfg["schedule"] = {"preset": preset["schedule"],
                            "count": str(args.count), "tau": str(tau),
-                           "seed": str(args.seed)}
+                           "seed": str(args.seed),
+                           **{key: str(value) for key, value
+                              in _schedule_flags(args).items()}}
         cfg["run"] = {"algorithms": preset["algorithms"],
                       "seeds": str(args.run_seeds), "output": "results"}
         with open(out, "w") as fh:

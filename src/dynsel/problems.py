@@ -11,6 +11,7 @@ graph) are generated exactly.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -430,17 +431,34 @@ def gen_bipartite_cover(n: int) -> BipartiteCoverInstance:
 def gen_ba_graph(n: int, m: int = 2, rng=None, edge_prob: float = 0.1) -> DirectedGraph:
     """Preferential-attachment social graph with m edges per new node.
 
-    Each undirected attachment becomes two directed edges carrying the given
+    Barabasi-Albert growth from a star on m + 1 nodes: each new node draws
+    its m distinct targets uniformly from the list of existing nodes, each
+    repeated once per incident edge.  The draws are `random.Random(seed)`
+    with the seed taken from `rng`, so the edges are those of
+    `networkx.barabasi_albert_graph(n, min(m, n - 1), seed)` in the order
+    of its `edges()`: sorted (u, v) pairs with u < v.  Each
+    undirected attachment becomes two directed edges carrying the given
     influence probability.
     """
-    import networkx as nx
-
     if n < 2:
         raise ValueError("need n >= 2")
+    if m < 1:
+        raise ValueError(f"need m >= 1 edges per new node, got m = {m}")
     rng = rng if rng is not None else np.random.default_rng()
-    g = nx.barabasi_albert_graph(n, min(m, n - 1), seed=int(rng.integers(2**31)))
+    m = min(m, n - 1)
+    choice = random.Random(int(rng.integers(2**31))).choice
+    pairs = [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()  # its iteration order feeds later draws
+        while len(targets) < m:
+            targets.add(choice(repeated))
+        pairs.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    pairs.sort()
     edges = []
-    for (u, v) in g.edges():
+    for (u, v) in pairs:
         edges.append((u, v, edge_prob))
         edges.append((v, u, edge_prob))
     return DirectedGraph.from_edges(n, edges, directed=True)

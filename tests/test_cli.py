@@ -83,6 +83,32 @@ class TestGenerate:
         assert weights.tolist() == \
             random_linear_cost(15, substream(4, "costs")).weights.tolist()
 
+    def test_config_writes_given_schedule_flags(self, tmp_path):
+        out = tmp_path / "exp.ini"
+        run_cli("generate", "config", "--experiment", "maxcov-outdegree",
+                "--n", 20, "--count", 40, "--binit", 20, "--bmin", 10,
+                "--bmax", 40, "--r", 3, "--integer-deltas", "--out", out)
+        cfg = configparser.ConfigParser()
+        cfg.read(out)
+        assert dict(cfg["schedule"]) == {
+            "preset": "outdegree", "count": "40", "tau": "1000", "seed": "0",
+            "binit": "20.0", "bmin": "10.0", "bmax": "40.0", "r": "3.0",
+            "integer_deltas": "True"}
+        sched = cli.build_schedule(cfg, tmp_path, 0)
+        assert (sched.b_init, sched.b_min, sched.b_max, sched.r) == (20, 10, 40, 3)
+        assert all(d == int(d) and 0 < abs(d) <= 3 for d in sched.deltas)
+        assert all(10 <= b <= 40 for b in sched.budgets())
+
+    def test_config_without_schedule_flags_keeps_the_preset(self, tmp_path):
+        out = tmp_path / "exp.ini"
+        run_cli("generate", "config", "--experiment", "maxcov-outdegree",
+                "--n", 20, "--out", out)
+        cfg = configparser.ConfigParser()
+        cfg.read(out)
+        assert sorted(cfg["schedule"]) == ["count", "preset", "seed", "tau"]
+        sched = cli.build_schedule(cfg, tmp_path, 0)
+        assert (sched.b_init, sched.b_min, sched.b_max, sched.r) == (500, 250, 750, 20)
+
     def test_random_costs_file(self, tmp_path):
         out = tmp_path / "costs.txt"
         run_cli("generate", "random-costs", "--n", 12, "--seed", 5,

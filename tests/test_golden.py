@@ -7,6 +7,8 @@ random stream fails here.  `tau` is not a multiple of NSGA-II's population
 size, so partial generations are covered too.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,34 @@ def test_pomc_archive_matches_two_walk_insert(seed):
         two_walk_run(want, 300)
         assert archive(got) == archive(want)
         assert got.counter.count == want.counter.count
+
+
+def _pomc_at_100(budget):
+    g = gen_random_digraph(100, 0.05, substream(9, "golden", "blocks"))
+    return Pomc(CoverageInstance(g).objective, outdegree_cost(g, q=2), budget,
+                substream(9, "golden", "blocks", "pomc"))
+
+
+def test_pomc_blocked_draws_match_whole_chunk_draws():
+    """At n = 100 a chunk's mutation rows come in blocks of 327, so 5000
+    evaluations cross the 4096 chunk, many blocks and a partial last block
+    of each chunk; the whole-chunk draws of `two_walk_run` must agree."""
+    got, want = _pomc_at_100(40.0), _pomc_at_100(40.0)
+    got.run(5000)
+    two_walk_run(want, 5000)
+    assert archive(got) == archive(want)
+    assert len(got) > 1
+    assert got.counter.count == want.counter.count == 5001
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
+def test_pomc_mutation_draws_stay_small():
+    """One whole-chunk draw at n = 100 is 4096 x 100 float64 = 3.3 MB."""
+    pomc = _pomc_at_100(40.0)
+    tracemalloc.start()
+    try:
+        pomc.run(4096)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,5 +1,6 @@
-"""Start-up cost: importing the package and its CLI loads neither scipy nor
-networkx; routing loads scipy's shortest paths on first use."""
+"""Start-up cost and dependencies: importing the package and its CLI loads
+neither scipy nor networkx, routing loads scipy's shortest paths on first
+use, and no command needs networkx."""
 
 import json
 import os
@@ -17,7 +18,7 @@ def run_python(code):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])  # after what `code` printed
 
 
 def heavy_modules(names):
@@ -54,3 +55,24 @@ def test_routing_cost_loads_shortest_paths_lazily():
     # the values RoutingCost gave when scipy was imported at module level
     assert result["values"] == [0.0, 0.1, 0.9457514910307736, 2.4416941306733326,
                                 5.735804787583736]
+
+
+def test_commands_run_without_networkx(tmp_path):
+    """`sys.modules["networkx"] = None` makes every networkx import fail."""
+    result = run_python(
+        "import json, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from dynsel.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [\n"
+        "    main(['generate', 'ba', '--n', '20', '--out', out + '/ba.edges']),\n"
+        "    main(['generate', 'config', '--experiment', 'influence-routing',\n"
+        "          '--n', '20', '--count', '2', '--tau', '10', '--run-seeds', '1',\n"
+        "          '--out', out + '/exp.ini']),\n"
+        "    main(['run', '--config', out + '/exp.ini']),\n"
+        "    main(['analyze', '--results', out + '/results',\n"
+        "          '--baseline', 'pomc:200'])]\n"
+        "print(json.dumps(codes))\n")
+    assert result == [0, 0, 0, 0]
+    manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+    assert manifest["failed"] == [] and len(manifest["files"]) == 4

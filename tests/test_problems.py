@@ -325,6 +325,26 @@ class TestRandomGraphs:
             assert p == 0.1
             assert u in g.out_neighbors(v)
 
+    def test_ba_matches_networkx_edge_for_edge(self):
+        nx = pytest.importorskip("networkx")
+        for n in (2, 3, 4, 5, 8, 9, 17, 40, 101, 300):
+            for m in range(1, 8):
+                for seed in range(3):
+                    got = gen_ba_graph(n, m=m, rng=substream(seed, "ba-nx"),
+                                       edge_prob=0.2)
+                    draw = substream(seed, "ba-nx").integers(2**31)
+                    ba = nx.barabasi_albert_graph(n, min(m, n - 1),
+                                                  seed=int(draw))
+                    want = DirectedGraph.from_edges(
+                        n, [e for (u, v) in ba.edges()
+                            for e in ((u, v, 0.2), (v, u, 0.2))])
+                    assert got.adjacency == want.adjacency, (n, m, seed)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_ba_needs_one_edge_per_node(self, m):
+        with pytest.raises(ValueError, match=f"m = {m}"):
+            gen_ba_graph(10, m=m, rng=substream(0, "ba"))
+
     def test_digraph_edge_probability_param(self):
         g = gen_random_digraph(10, 0.5, substream(2, "dg"), edge_prob=0.25)
         assert all(p == 0.25 for (_u, _v, p, _w) in g.edge_list())
