@@ -1,8 +1,9 @@
 """The five solvers plus exhaustive oracles.
 
-Every solver shares one protocol: `set_budget(b)` applies a dynamic change,
-`run(evals)` spends exactly `evals` evaluations, and `answer_value(budget)`
-reads the best stored (f, cost) within a bound (the current one by default).
+Every solver derives from `_Solver` and shares one protocol: `set_budget(b)`
+applies a dynamic change, `run(evals)` spends exactly `evals` evaluations,
+and `answer_value(budget)` reads the best stored (f, cost) within a bound
+(the current one by default).  Each solver owns its `counter`.
 
 Greedy (GGA, `Gga`) and its adaptive variant (AdGGA) draw no random numbers
 and do their whole work in `set_budget`: every evaluation of their scans is
@@ -116,6 +117,43 @@ def knapsack_opt_value(instance, budget) -> float:
             if cand > dp[w]:
                 dp[w] = cand
     return dp[cap]
+
+
+# ---------------------------------------------------------------------------
+# the solver protocol
+
+
+class _Solver:
+    """State and answer rule every solver shares.
+
+    A solver holds f, c, n, the current bound and the `EvalCounter` it
+    counts its own evaluations on.  Each subclass lists its stored (f, cost)
+    pairs in `_stored()`, in the order ties go; `answer_value` reads the
+    answer from them.
+    """
+
+    def __init__(self, f, c, budget):
+        self.f = f
+        self.c = c
+        self.n = f.n
+        self.budget = float(budget)
+        self.counter = EvalCounter()
+
+    def set_budget(self, budget) -> None:
+        """Dynamic change; stored values are left as they are."""
+        self.budget = float(budget)
+
+    def answer_value(self, budget=None):
+        """(f, cost) of the first stored pair with the highest f among those
+        whose cost fits `budget` (the current bound when None); free."""
+        b = self.budget if budget is None else float(budget)
+        best = None
+        for fc in self._stored():
+            if fc[1] <= b and (best is None or fc[0] > best[0]):
+                best = fc
+        if best is None:
+            raise NoFeasibleMemberError(f"no stored answer with cost <= {b}")
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +280,29 @@ def gga(f, c, budget, counter=None, value=_fc):
     return _with_best_singleton(x, fx, cx, singletons, budget, counter)
 
 
-class _Greedy:
+class _Greedy(_Solver):
     """The protocol of the greedy solvers.  The constructor evaluates
     nothing; `set_budget(b)` makes the whole change and stores the answer's
     (f, cost); `run` has nothing to do, because greedy evaluations are
     counted but not charged against tau."""
 
-    def __init__(self, f, c, budget, counter=None):
-        self.f = f
-        self.c = c
-        self.budget = float(budget)
-        self.counter = counter if counter is not None else EvalCounter()
+    def __init__(self, f, c, budget):
+        super().__init__(f, c, budget)
         self._answer = None  # (f, cost), set by set_budget
 
     def run(self, evals: int) -> None:
         """Greedy spends no share of tau."""
 
+    def _stored(self):
+        return () if self._answer is None else (self._answer,)
+
     def answer_value(self, budget=None):
-        """(f, cost) of the answer for the current bound, the only bound a
-        greedy answer holds for."""
+        """Override: a greedy answer holds for its current bound only, so
+        any other bound raises ValueError."""
         if budget is not None and float(budget) != self.budget:
             raise ValueError(f"a greedy answer holds for its current bound "
                              f"{self.budget}, not {budget}")
-        if self._answer is None:
-            raise NoFeasibleMemberError("no answer before the first set_budget")
-        return self._answer
+        return super().answer_value()
 
 
 class Gga(_Greedy):
@@ -274,8 +310,8 @@ class Gga(_Greedy):
     empty set.  A `ScanMemo` answers the scans that repeat the previous
     change's, so they are charged but f and c are not called again."""
 
-    def __init__(self, f, c, budget, counter=None):
-        super().__init__(f, c, budget, counter)
+    def __init__(self, f, c, budget):
+        super().__init__(f, c, budget)
         self._memo = ScanMemo()
 
     def set_budget(self, budget) -> None:
@@ -298,8 +334,8 @@ class AdaptiveGreedy(_Greedy):
     holds.
     """
 
-    def __init__(self, f, c, budget, counter=None):
-        super().__init__(f, c, budget, counter)
+    def __init__(self, f, c, budget):
+        super().__init__(f, c, budget)
         self.x = None  # the working set, from the first change on
         self._value = None  # (f, c) of x
         self._singletons = None
@@ -353,7 +389,7 @@ class AdaptiveGreedy(_Greedy):
 # POMC
 
 
-class Pomc:
+class Pomc(_Solver):
     """Pareto optimization (GSEMO) over (f1, f2) with stale-vector semantics.
 
     Objective vectors are stamped at creation and never recomputed, so budget
@@ -361,22 +397,14 @@ class Pomc:
     keep their stored vectors.
     """
 
-    def __init__(self, f, c, budget, rng, counter=None):
-        self.f = f
-        self.c = c
-        self.n = f.n
-        self.budget = float(budget)
+    def __init__(self, f, c, budget, rng):
+        super().__init__(f, c, budget)
         self.rng = rng
-        self.counter = counter if counter is not None else EvalCounter()
         zeros = np.zeros(self.n, dtype=np.uint8)
         f1, cost = evaluate(f, c, zeros, self.counter, self.budget + 1)
         self._bits = [zeros]
         self._f1 = [f1]
         self._f2 = [-cost]
-
-    def set_budget(self, budget) -> None:
-        """Dynamic change: stored vectors are intentionally left stale."""
-        self.budget = float(budget)
 
     def __len__(self):
         return len(self._bits)
@@ -436,22 +464,8 @@ class Pomc:
                         pf2.append(pf2.pop(k))
             done += chunk
 
-    def _best(self, budget):
-        """Index of the best stored-f1 member whose stored cost fits the
-        budget (the current bound when None); free."""
-        b = self.budget if budget is None else float(budget)
-        best_i = None
-        for i, (f1, f2) in enumerate(zip(self._f1, self._f2)):
-            if -f2 <= b and (best_i is None or f1 > self._f1[best_i]):
-                best_i = i
-        if best_i is None:
-            raise NoFeasibleMemberError(f"no member with stored cost <= {b}")
-        return best_i
-
-    def answer_value(self, budget=None):
-        """(stored f1, stored cost) of the answer member."""
-        i = self._best(budget)
-        return self._f1[i], -self._f2[i]
+    def _stored(self):
+        return ((f1, -f2) for f1, f2 in zip(self._f1, self._f2))
 
     def check_invariants(self) -> None:
         """Debug hook: pairwise mutual non-dominance and no -inf member."""
@@ -478,23 +492,19 @@ def _eamc_g(fval, cost, size, alpha, budget):
     return fval / denom
 
 
-class Eamc:
+class Eamc(_Solver):
     """EAMC: at most two solutions per subset size (best by g, best by f).
 
     Every member is feasible under the current budget; a change simply drops
     the members that became infeasible.
     """
 
-    def __init__(self, f, c, budget, rng, alpha=1.0, counter=None):
+    def __init__(self, f, c, budget, rng, alpha=1.0):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.f = f
-        self.c = c
-        self.n = f.n
-        self.budget = float(budget)
+        super().__init__(f, c, budget)
         self.alpha = alpha
         self.rng = rng
-        self.counter = counter if counter is not None else EvalCounter()
         zeros = np.zeros(self.n, dtype=np.uint8)
         entry = (zeros, *evaluate(f, c, zeros, self.counter, self.budget))
         self.bins = {0: [entry, entry]}  # size -> [U, V]
@@ -561,21 +571,8 @@ class Eamc:
                 del self.bins[size]
         self._rebuild_members()
 
-    def _best(self, budget):
-        """(bits, f, cost) of the best-f member within the budget (the
-        current bound when None)."""
-        b = self.budget if budget is None else float(budget)
-        best = None
-        for member in self._members:
-            if member[2] <= b and (best is None or member[1] > best[1]):
-                best = member
-        if best is None:
-            raise NoFeasibleMemberError(f"no member with cost <= {b}")
-        return best
-
-    def answer_value(self, budget=None):
-        _bits, fval, cost = self._best(budget)
-        return fval, cost
+    def _stored(self):
+        return ((fval, cost) for _bits, fval, cost in self._members)
 
     def check_invariants(self) -> None:
         if len(self._members) > 2 * self.n + 2:
@@ -659,7 +656,7 @@ def _crowding_distances(objs, front):
     return dist
 
 
-class Nsga2:
+class Nsga2(_Solver):
     """NSGA-II on (maximize f_N, minimize c_N) with best-feasible elitism.
 
     Solutions with cost up to budget + delta_cap are kept unpenalized to
@@ -667,20 +664,17 @@ class Nsga2:
     into the dominated region proportionally to the violation, scaled by
     f_max = f(V) and c_max = c(V).  Once per
     sort, the best feasible member's crowding distance is set to +inf so it
-    survives truncation.
+    survives truncation.  Penalties are derived from stored raw values, so
+    a budget change costs no evaluations.
     """
 
     pop_size = 20
     crossover_rate = 0.9
 
-    def __init__(self, f, c, budget, rng, *, delta_cap, counter=None):
-        self.f = f
-        self.c = c
-        self.n = f.n
-        self.budget = float(budget)
+    def __init__(self, f, c, budget, rng, *, delta_cap):
+        super().__init__(f, c, budget)
         self.delta_cap = float(delta_cap)
         self.rng = rng
-        self.counter = counter if counter is not None else EvalCounter()
         full = np.ones(self.n, dtype=np.uint8)
         self.f_max = float(f(full))
         self.c_max = float(c(full))
@@ -688,11 +682,6 @@ class Nsga2:
         self.seed_individual = _Individual(
             zeros, *evaluate(f, c, zeros, self.counter, POS_INF))
         self.parents = [self.seed_individual] * self.pop_size
-
-    def set_budget(self, budget) -> None:
-        """Penalties are derived from cached raw values, so a change costs
-        no evaluations."""
-        self.budget = float(budget)
 
     def _penalized(self, ind):
         cap = self.budget + self.delta_cap
@@ -759,14 +748,13 @@ class Nsga2:
         if rest:
             self.generation(rest)
 
-    def _best(self, budget):
-        """Best raw-f parent within the budget (the current bound when None);
-        the seed individual, the empty set, when no parent fits."""
-        b = self.budget if budget is None else float(budget)
-        best = _best_within(self.parents, b)
-        return self.seed_individual if best is None else best
+    def _stored(self):
+        return ((ind.f_raw, ind.c_raw) for ind in self.parents)
 
     def answer_value(self, budget=None):
-        best = self._best(budget)
-        return best.f_raw, best.c_raw
-
+        """Override: when no parent fits, the answer is the seed individual,
+        the empty set, whose (f, cost) the constructor stored."""
+        try:
+            return super().answer_value(budget)
+        except NoFeasibleMemberError:
+            return self.seed_individual.f_raw, self.seed_individual.c_raw

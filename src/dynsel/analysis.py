@@ -63,9 +63,9 @@ def brute_force_baseline(f, c, budgets=()):
     return baseline
 
 
-def long_run_baseline(f, c, evals=100_000, seed=0, cache=None):
+def long_run_baseline(f, c, evals=100_000, seed=0):
     """Heuristic baseline: a long POMC run from scratch per distinct budget."""
-    cache = {} if cache is None else cache
+    cache = {}
 
     def baseline(budget):
         if budget not in cache:
@@ -264,15 +264,16 @@ class PhiReport:
         return all(ch.passed for ch in self.checks)
 
 
-def check_phi_approx(answers, f, c, budget, alpha=1.0, delta_c=None,
+def check_phi_approx(answer, f, c, budget, alpha=1.0, delta_c=None,
                      optima=None) -> PhiReport:
     """Check f(answer_b) >= phi * opt(b) for every b on the delta-cost grid.
 
-    `answers` is either a POMC population (answers extracted by stored cost)
-    or a mapping b -> answer value.  Optima come from exhaustive enumeration,
-    at the exact budget b (strictly harder than the shrunken-budget optimum
-    used inside the cited guarantees); pass a precomputed `optima` mapping to
-    reuse one enumeration across many trials on the same instance.
+    `answer` is a callable b -> answer value, e.g. a solver's
+    `lambda b: solver.answer_value(b)[0]`.  Optima come from exhaustive
+    enumeration, at the exact budget b (strictly harder than the
+    shrunken-budget optimum used inside the cited guarantees); pass a
+    precomputed `optima` mapping to reuse one enumeration across many
+    trials on the same instance.
     """
     delta_c = c.min_increment if delta_c is None else delta_c
     if delta_c <= 0:
@@ -287,10 +288,7 @@ def check_phi_approx(answers, f, c, budget, alpha=1.0, delta_c=None,
         optima = brute_force_front(f, c, grid)
     checks = []
     for b in grid:
-        if isinstance(answers, Pomc):
-            ans = answers.answer_value(b)[0]
-        else:
-            ans = answers[b]
+        ans = answer(b)
         opt = optima[b]
         passed = opt <= 0 or ans >= phi * opt - 1e-9
         checks.append(PhiCheck(budget=b, answer_f=ans, optimum=opt, passed=passed))

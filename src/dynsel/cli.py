@@ -184,7 +184,7 @@ def cmd_generate(args) -> int:
 def _read_config(path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"config file not found: {path}")
     return cfg
 
 
@@ -420,11 +420,8 @@ def cmd_analyze(args) -> int:
     baseline, negatives = observed_baseline(baseline, runs)
     algorithms = sorted(by_alg)
 
-    sched_sec = cfg["schedule"] if cfg.has_section("schedule") else {}
-    r_val = sched_sec.get("r", "")
-    if not r_val and sched_sec.get("preset"):
-        r_val = SCHEDULE_PRESETS[sched_sec.get("preset")]["r"]
-    tau_val = sched_sec.get("tau", "")
+    schedule = build_schedule(cfg, results_dir, manifest["seeds"][0])
+    r_val, tau_val = f"{schedule.r:.12g}", schedule.tau
     constraint = manifest.get("cost_variant", "")
 
     rows = []
@@ -560,8 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input ends in one error line and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"dynsel: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

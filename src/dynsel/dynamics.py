@@ -16,9 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algorithms import (AdaptiveGreedy, Eamc, Gga, NoFeasibleMemberError,
-                         Nsga2, Pomc)
-from .core import EvalCounter, substream
+from .algorithms import AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc
+from .core import substream
 
 ALL_ALGORITHMS = ("gga", "adgga", "pomc", "pomc-wp", "eamc", "nsga2")
 
@@ -186,28 +185,20 @@ def read_run_csv(path):
     return records
 
 
-def make_solver(name, f, c, budget, rng, params=None, counter=None):
+def make_solver(name, f, c, budget, rng, params=None):
     """Construct a solver by algorithm name."""
     params = params or {}
     if name == "gga":
-        return Gga(f, c, budget, counter=counter)
+        return Gga(f, c, budget)
     if name == "adgga":
-        return AdaptiveGreedy(f, c, budget, counter=counter)
+        return AdaptiveGreedy(f, c, budget)
     if name in ("pomc", "pomc-wp"):
-        return Pomc(f, c, budget, rng, counter=counter)
+        return Pomc(f, c, budget, rng)
     if name == "eamc":
-        return Eamc(f, c, budget, rng, counter=counter)
+        return Eamc(f, c, budget, rng)
     if name == "nsga2":
-        return Nsga2(f, c, budget, rng, delta_cap=params.get("delta_cap", 1.0),
-                     counter=counter)
+        return Nsga2(f, c, budget, rng, delta_cap=params.get("delta_cap", 1.0))
     raise ValueError(f"unknown algorithm {name!r}")
-
-
-def _solver_answer(solver):
-    try:
-        return solver.answer_value()
-    except NoFeasibleMemberError:
-        return float("-inf"), float("inf")
 
 
 def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
@@ -223,9 +214,9 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     if warmup_evals < 0:
         raise ValueError(f"[run] warmup must be non-negative, got {warmup_evals}")
     budgets = schedule.budgets()
-    counter = EvalCounter()
     solver = make_solver(name, f, c, budgets[0], substream(seed, "run", name),
-                         params=params, counter=counter)
+                         params=params)
+    counter = solver.counter
     solver.run(warmup_evals)
     warmed = counter.count
     records = []
@@ -233,7 +224,7 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
         t0 = time.perf_counter()
         solver.set_budget(b)
         solver.run(schedule.tau)
-        best_f, best_cost = _solver_answer(solver)
+        best_f, best_cost = solver.answer_value()
         wall = (time.perf_counter() - t0) * 1000
         records.append(RunRecord(i, b, name, best_f, best_cost,
                                  counter.count - warmed, wall))

@@ -73,11 +73,6 @@ class DirectedGraph:
     def out_degree(self, u):
         return len(self.adjacency[u])
 
-    def edge_count(self) -> int:
-        """Number of edges; for undirected graphs each edge counts once."""
-        total = sum(len(a) for a in self.adjacency)
-        return total // 2 if not self.directed else total
-
     def edge_list(self):
         """Edges as stored; undirected edges reported once (u <= v).  An
         undirected self-loop is stored twice, so every second copy is skipped."""

@@ -59,4 +59,5 @@ def pomc_phi_trial(f, c, budget, rng, optima=None):
     (`optima` as in `check_phi_approx`)."""
     pomc = Pomc(f, c, budget, rng)
     pomc.run(25 * f.n * f.n * int(budget))
-    return check_phi_approx(pomc, f, c, budget, alpha=1.0, optima=optima)
+    return check_phi_approx(lambda b: pomc.answer_value(b)[0], f, c, budget,
+                            alpha=1.0, optima=optima)

@@ -226,8 +226,7 @@ def test_criterion_8_trend_reproduction():
     graph = gen_ba_graph(n, m=3, rng=substream(1, "c8-graph"), edge_prob=0.1)
     f = CoverageInstance(graph).objective
     c = outdegree_cost(graph, q=6)
-    cache = {}
-    baseline = long_run_baseline(f, c, evals=60_000, seed=202, cache=cache)
+    baseline = long_run_baseline(f, c, evals=60_000, seed=202)
 
     def full_range_error(alg, tau, seed):
         sched = gen_schedule(5, 2, 28, 5, 20, tau,

@@ -148,14 +148,14 @@ class TestGga:
         f = Calls(CoverageInstance(g).objective)
         c = random_linear_cost(12, substream(5, "gga-memo"))
         budgets = [1.0, 1.3, 0.9, 1.0, 1.4]
-        plain, memoized = EvalCounter(), EvalCounter()
-        solver = Gga(f, c, budgets[0], counter=memoized)
+        plain = EvalCounter()
+        solver = Gga(f, c, budgets[0])
         for b in budgets:
             want = gga(f, c, b, counter=plain)
             calls = f.calls
             solver.set_budget(b)
             assert solver.answer_value() == want[1:]
-            assert memoized.count == plain.count
+            assert solver.counter.count == plain.count
         assert f.calls - calls < 12  # the last scan mostly repeats earlier ones
 
     def test_memo_keeps_two_changes(self):

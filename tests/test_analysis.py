@@ -221,26 +221,28 @@ class TestSubmodularityRatio:
 class TestCheckPhiApprox:
     def test_brute_force_answers_always_pass(self, g3_objective, card3):
         front = brute_force_front(g3_objective, card3, [0.0, 1.0, 2.0, 3.0])
-        rep = check_phi_approx(front, g3_objective, card3, 3.0)
+        rep = check_phi_approx(front.__getitem__, g3_objective, card3, 3.0)
         assert rep.all_pass
         assert rep.phi == pytest.approx(0.31606, abs=1e-5)
 
     def test_g3_pomc_after_1000_steps(self, g3_objective, card3):
         p = Pomc(g3_objective, card3, 2.0, substream(5, "phi"))
         p.run(1000)
-        rep = check_phi_approx(p, g3_objective, card3, 2.0)
+        rep = check_phi_approx(lambda b: p.answer_value(b)[0], g3_objective,
+                               card3, 2.0)
         assert rep.all_pass
         assert [ch.budget for ch in rep.checks] == [0.0, 1.0, 2.0]
 
     def test_failing_answers_flagged(self, g3_objective, card3):
         answers = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0}  # worthless answers
-        rep = check_phi_approx(answers, g3_objective, card3, 2.0)
+        rep = check_phi_approx(answers.__getitem__, g3_objective, card3, 2.0)
         assert not rep.all_pass
         assert rep.checks[0].passed  # opt at b=0 is 0
 
     def test_precomputed_optima_reused(self, g3_objective, card3):
         front = brute_force_front(g3_objective, card3, [0.0, 1.0, 2.0])
-        rep = check_phi_approx(front, g3_objective, card3, 2.0, optima=front)
+        rep = check_phi_approx(front.__getitem__, g3_objective, card3, 2.0,
+                               optima=front)
         assert rep.all_pass
 
     def test_rejects_zero_increment(self, g3_objective):
@@ -252,4 +254,4 @@ class TestCheckPhiApprox:
                 return 0.0
 
         with pytest.raises(ValueError):
-            check_phi_approx({}, g3_objective, ZeroCost(), 1.0)
+            check_phi_approx({}.__getitem__, g3_objective, ZeroCost(), 1.0)

@@ -57,14 +57,14 @@ class TestGenerate:
     def test_er_edgeless(self, tmp_path):
         out = tmp_path / "er.edges"
         run_cli("generate", "er", "--n", 10, "--p", 0, "--out", out)
-        assert load_edge_list(out).edge_count() == 0
+        assert len(load_edge_list(out).edge_list()) == 0
 
     def test_ba_graph(self, tmp_path):
         out = tmp_path / "ba.edges"
         run_cli("generate", "ba", "--n", 25, "--m", 2, "--seed", 3,
                 "--out", out)
         g = load_edge_list(out)
-        assert g.n == 25 and g.edge_count() > 0
+        assert g.n == 25 and len(g.edge_list()) > 0
 
     def test_maxcov_config_writes_its_graph_and_costs(self, tmp_path):
         out = tmp_path / "exp.ini"
@@ -238,10 +238,11 @@ class TestRun:
                   for p in (tmp_path / "results").glob("*_s*.csv")}
         assert first == second
 
-    def test_unknown_algorithm_rejected(self, tmp_path):
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithms="tabu")
-        with pytest.raises(ValueError):
-            run_cli("run", "--config", config)
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == \
+            "dynsel: error: unknown algorithm 'tabu'\n"
 
     @pytest.mark.parametrize("variant", ["linear", "routing"])
     def test_unusable_cost_variant_refused(self, tmp_path, variant):
@@ -361,7 +362,7 @@ class TestAnalyze:
         assert [row["interval"] for row in rows] == ["3-3"] * 2 + ["1-9"] * 2
 
     @pytest.mark.parametrize("spec", ["4-2", "5-99", "0-3", "x", "3-", ""])
-    def test_bad_interval_fails_before_any_baseline(self, tmp_path,
+    def test_bad_interval_fails_before_any_baseline(self, tmp_path, capsys,
                                                     monkeypatch, spec):
         config = write_config(tmp_path, algorithms="gga", seeds="2",
                               tau=0, count=8)
@@ -369,12 +370,29 @@ class TestAnalyze:
         budgets = []
         monkeypatch.setattr(cli, "brute_force_baseline",
                             lambda f, c: budgets.append)
-        with pytest.raises(ValueError, match="--intervals") as err:
-            run_cli("analyze", "--results", tmp_path / "results",
-                    "--intervals", f"1-3,{spec}")
-        assert repr(spec) in str(err.value)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--intervals", f"1-3,{spec}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynsel: error: --intervals")
+        assert repr(spec) in err
         assert budgets == []
         assert not (tmp_path / "results" / "report.csv").exists()
+
+    def test_report_reads_r_and_tau_from_a_schedule_file(self, tmp_path):
+        run_cli("generate", "schedule", "--preset", "influence", "--binit",
+                2, "--bmin", 1, "--bmax", 3, "--r", 0.5, "--count", 4,
+                "--tau", 7, "--out", tmp_path / "sched.txt")
+        cfg = read_config(write_config(tmp_path, algorithms="gga,eamc"))
+        cfg.remove_section("schedule")
+        cfg["schedule"] = {"path": "sched.txt"}
+        with open(tmp_path / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", tmp_path / "config.ini") == 0
+        assert run_cli("analyze", "--results", tmp_path / "results") == 0
+        with open(tmp_path / "results" / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["r"], row["tau"]) for row in rows] == [("0.5", "7")] * 2
 
     def test_brute_force_baseline_non_negative_means(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga,eamc", seeds="2",
@@ -478,6 +496,25 @@ output = results
 
 # ---------------------------------------------------------------------------
 # verify-theory
+
+
+class TestErrors:
+    """Bad input ends in one `dynsel: error:` line and exit code 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("generate", "config", "--experiment", "maxcov-random", "--out",
+          "missing/exp.ini"), "No such file or directory"),
+        (("generate", "ba", "--m", 0, "--out", "x.edges"), "m = 0"),
+        (("run", "--config", "nowhere.ini"),
+         "config file not found: nowhere.ini")])
+    def test_one_line_and_exit_code_2(self, tmp_path, monkeypatch, capsys,
+                                      argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynsel: error: ") and message in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_theory_passes(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynsel.algorithms import brute_force_opt
-from dynsel.core import EvalCounter, substream
+from dynsel.core import substream
 from dynsel.dynamics import (BudgetSchedule, gen_schedule, load_schedule,
                              make_solver, preset_schedule, read_run_csv,
                              run_dynamic, save_schedule, write_run_csv)
@@ -134,14 +134,12 @@ class TestRunDynamic:
             records = run_dynamic(alg, f, c, s, seed=6)
             assert [r.evaluations for r in records] == [37, 74, 111]
             # the same epochs driven by hand: the counter itself moves by tau
-            counter = EvalCounter()
-            solver = make_solver(alg, f, c, s.b_init, substream(6, "run", alg),
-                                 counter=counter)
+            solver = make_solver(alg, f, c, s.b_init, substream(6, "run", alg))
             for b in s.budgets():
-                before = counter.count
+                before = solver.counter.count
                 solver.set_budget(b)
                 solver.run(s.tau)
-                assert counter.count - before == s.tau, alg
+                assert solver.counter.count - before == s.tau, alg
 
     def test_pomc_tau_zero_frozen(self):
         f, c = coverage_setup()

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsel.algorithms import gga
-from dynsel.core import EvalCounter, substream
+from dynsel.algorithms import Eamc, gga
+from dynsel.analysis import check_phi_approx
+from dynsel.core import substream
 from dynsel.dynamics import ALL_ALGORITHMS, make_solver
-from dynsel.problems import (CoverageInstance, gen_random_digraph,
-                             random_linear_cost)
+from dynsel.problems import (CardinalityCost, CoverageInstance,
+                             gen_random_digraph, random_linear_cost)
 
 N = 8
 F = CoverageInstance(gen_random_digraph(N, 0.25, substream(0, "protocol"))).objective
@@ -24,9 +25,8 @@ budget_walks = st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(0, 45)),
 @settings(max_examples=25, deadline=None)
 @given(walk=budget_walks, seed=st.integers(0, 2**16))
 def test_budget_walk_keeps_the_protocol(name, walk, seed):
-    counter = EvalCounter()
-    solver = make_solver(name, F, C, walk[0][0], substream(seed, name),
-                         counter=counter)
+    solver = make_solver(name, F, C, walk[0][0], substream(seed, name))
+    counter = solver.counter
     for budget, k in walk:
         solver.set_budget(budget)
         before = counter.count
@@ -38,5 +38,22 @@ def test_budget_walk_keeps_the_protocol(name, walk, seed):
         assert value[1] <= budget
         if name == "gga":
             assert value == gga(F, C, budget)[1:]
+        if name not in GREEDY:
+            # one answer rule over stored pairs: a larger bound never
+            # reads a worse answer
+            values = [solver.answer_value(budget * i / 8)[0] for i in range(9)]
+            assert values == sorted(values)
         if hasattr(solver, "check_invariants"):
             solver.check_invariants()
+
+
+def test_phi_check_reads_any_solver():
+    """The phi check takes an answer callable, so EAMC's answers are checked
+    as POMC's are; whether they pass is not asserted."""
+    c = CardinalityCost(N)
+    eamc = Eamc(F, c, 3.0, substream(0, "protocol-phi"))
+    eamc.run(500)
+    rep = check_phi_approx(lambda b: eamc.answer_value(b)[0], F, c, 3.0)
+    assert [ch.budget for ch in rep.checks] == [0.0, 1.0, 2.0, 3.0]
+    assert [ch.answer_f for ch in rep.checks] == \
+        [eamc.answer_value(b)[0] for b in (0.0, 1.0, 2.0, 3.0)]
