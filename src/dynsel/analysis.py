@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Pomc, all_subsets, brute_force_front
-from .core import NEG_INF, phi_ratio, substream
+from .core import NEG_INF, fork_map, phi_ratio, substream, worker_count
 
 
 @dataclass
@@ -63,16 +63,26 @@ def brute_force_baseline(f, c, budgets=()):
     return baseline
 
 
-def long_run_baseline(f, c, evals=100_000, seed=0):
-    """Heuristic baseline: a long POMC run from scratch per distinct budget."""
+def long_run_baseline(f, c, evals=100_000, seed=0, budgets=(), jobs=1):
+    """Heuristic baseline: a long POMC run from scratch per distinct budget.
+
+    The first call answers every budget in `budgets` and its own, split over
+    up to `jobs` processes when their evals x budgets reach FORK_MIN_EVALS;
+    a later budget not yet seen gets a run of its own.  Each run is seeded
+    by (seed, budget) alone, so its value does not depend on the split.
+    """
     cache = {}
+
+    def solve(budget):
+        pomc = Pomc(f, c, budget, substream(seed, "baseline", budget))
+        pomc.run(evals)
+        return pomc.answer_value()[0]
 
     def baseline(budget):
         if budget not in cache:
-            rng = substream(seed, "baseline", budget)
-            pomc = Pomc(f, c, budget, rng)
-            pomc.run(evals)
-            cache[budget] = pomc.answer_value()[0]
+            todo = sorted({budget, *budgets}.difference(cache))
+            workers = worker_count(jobs, len(todo), evals * len(todo))
+            cache.update(zip(todo, fork_map(solve, todo, workers)))
         return cache[budget]
 
     return baseline

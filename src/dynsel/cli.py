@@ -27,10 +27,11 @@ from .analysis import (bonferroni_posthoc, brute_force_baseline,
                        format_marks, kruskal_wallis, long_run_baseline,
                        observed_baseline, offline_errors,
                        partial_offline_error)
-from .core import substream
+from .core import fork_map, substream, usable_cpus, worker_count
 from .dynamics import (ALL_ALGORITHMS, SCHEDULE_KEYS, SCHEDULE_PRESETS,
-                       load_schedule, preset_schedule, read_run_csv,
-                       run_dynamic, save_schedule, write_run_csv)
+                       load_schedule, planned_evals, preset_schedule,
+                       read_run_csv, run_dynamic, save_schedule,
+                       write_run_csv)
 from .problems import (CoverageInstance, DirectedGraph, IcSpreadObjective,
                        InfluenceInstance, bfs_reachable,
                        gen_adversarial_knapsack, gen_ba_graph,
@@ -58,6 +59,9 @@ EXPERIMENT_PRESETS = {
                              algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
 }
 
+
+# the config sections `run` and `analyze` read
+REQUIRED_SECTIONS = ("instance", "run", "schedule")
 
 # the config keys that name input files, relative to the config
 INPUT_KEYS = (("instance", "graph"), ("instance", "routing_graph"),
@@ -185,7 +189,23 @@ def _read_config(path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in REQUIRED_SECTIONS:
+        if not cfg.has_section(section):
+            raise ValueError(f"{path}: the config has no [{section}] section")
     return cfg
+
+
+def _jobs(raw) -> int:
+    """The --jobs value: a positive integer, by default every usable CPU."""
+    if raw is None:
+        return usable_cpus()
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"--jobs must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def load_costs_file(path) -> np.ndarray:
@@ -292,10 +312,29 @@ def _run_seeds(run_sec):
 
 
 def cmd_run(args) -> int:
+    jobs = _jobs(args.jobs)
     config_path = Path(args.config)
     cfg = _read_config(config_path)
     base_dir = config_path.parent
     run_sec = cfg["run"]
+    algorithms = [a.strip() for a in run_sec.get("algorithms", "gga").split(",")]
+    for a in algorithms:
+        if a not in ALL_ALGORITHMS:
+            raise ValueError(f"unknown algorithm {a!r}")
+    seeds = _run_seeds(run_sec)
+    f, c, meta = build_instance(cfg, base_dir)
+    params = {}
+    if run_sec.get("warmup"):
+        params["warmup_evals"] = run_sec.getint("warmup")
+    if cfg["schedule"].get("r"):
+        params["delta_cap"] = cfg["schedule"].getfloat("r")
+    per_seed = {}  # seed -> (schedule, params as a serial loop had them)
+    for seed in seeds:
+        schedule = build_schedule(cfg, base_dir, seed)
+        if schedule.r:
+            params.setdefault("delta_cap", schedule.r)
+        per_seed[seed] = (schedule, dict(params))
+
     out_dir = Path(run_sec.get("output", "results"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
@@ -310,39 +349,35 @@ def cmd_run(args) -> int:
                 dst.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy(src, dst)
 
-    algorithms = [a.strip() for a in run_sec.get("algorithms", "gga").split(",")]
-    for a in algorithms:
-        if a not in ALL_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
-    seeds = _run_seeds(run_sec)
-    f, c, meta = build_instance(cfg, base_dir)
-    params = {}
-    if run_sec.get("warmup"):
-        params["warmup_evals"] = run_sec.getint("warmup")
-    if cfg.has_section("schedule") and cfg["schedule"].get("r"):
-        params["delta_cap"] = cfg["schedule"].getfloat("r")
+    def run_task(task):
+        """(records or None, error message or None, wall seconds)"""
+        alg, seed = task
+        schedule, run_params = per_seed[seed]
+        start = time.perf_counter()
+        try:
+            records, error = run_dynamic(alg, f, c, schedule, seed,
+                                         params=run_params), None
+        except Exception as exc:  # noqa: BLE001 - flag truncated run, keep going
+            records, error = None, str(exc)
+        return records, error, round(time.perf_counter() - start, 6)
 
     cfg_hash = _config_hash(config_path.read_text())
+    tasks = [(alg, seed) for seed in seeds for alg in algorithms]
+    planned = sum(planned_evals(alg, *per_seed[seed]) for alg, seed in tasks)
+    jobs = worker_count(jobs, len(tasks), planned)
     files = []
     failed = []
     wall_s = {}
-    for seed in seeds:
-        schedule = build_schedule(cfg, base_dir, seed)
-        if schedule.r:
-            params.setdefault("delta_cap", schedule.r)
-        for alg in algorithms:
-            run_id = f"{alg}_s{seed}"
-            start = time.perf_counter()
-            try:
-                records = run_dynamic(alg, f, c, schedule, seed, params=params)
-            except Exception as exc:  # noqa: BLE001 - flag truncated run, keep going
-                failed.append((run_id, str(exc)))
-                continue
-            finally:
-                wall_s[run_id] = round(time.perf_counter() - start, 6)
-            path = out_dir / f"{run_id}.csv"
-            write_run_csv(path, run_id, seed, records)
-            files.append(path.name)
+    for (alg, seed), (records, error, wall) in zip(
+            tasks, fork_map(run_task, tasks, jobs)):
+        run_id = f"{alg}_s{seed}"
+        wall_s[run_id] = wall
+        if error is not None:
+            failed.append((run_id, error))
+            continue
+        path = out_dir / f"{run_id}.csv"
+        write_run_csv(path, run_id, seed, records)
+        files.append(path.name)
 
     manifest = {
         "version": __version__,
@@ -355,6 +390,7 @@ def cmd_run(args) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "jobs": jobs,
         "wall_s": wall_s,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -392,6 +428,7 @@ def _parse_intervals(spec, total):
 
 
 def cmd_analyze(args) -> int:
+    jobs = _jobs(args.jobs)
     results_dir = Path(args.results)
     manifest = json.loads((results_dir / "manifest.json").read_text())
     cfg = _read_config(results_dir / "config.ini")
@@ -409,12 +446,13 @@ def cmd_analyze(args) -> int:
     total = max(len(r) for r in runs)
     intervals = _parse_intervals(args.intervals, total)
 
+    budgets = {rec.budget for records in runs for rec in records}
     if args.baseline == "brute-force":
-        budgets = {rec.budget for records in runs for rec in records}
         baseline = brute_force_baseline(f, c, budgets)
     elif args.baseline.startswith("pomc"):
         evals = int(args.baseline.partition(":")[2] or 100_000)
-        baseline = long_run_baseline(f, c, evals=evals)
+        baseline = long_run_baseline(f, c, evals=evals, budgets=budgets,
+                                     jobs=jobs)
     else:
         raise ValueError(f"unknown baseline spec {args.baseline!r}")
     baseline, negatives = observed_baseline(baseline, runs)
@@ -506,6 +544,10 @@ def cmd_verify_theory(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+JOBS_HELP = ("processes for the runs or baseline budgets (default: every "
+             "usable CPU); outputs are the same for every value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynsel",
                                      description=__doc__.splitlines()[0])
@@ -537,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a configured experiment")
     run.add_argument("--config", required=True)
+    run.add_argument("--jobs", help=JOBS_HELP)
     run.set_defaults(func=cmd_run)
 
     ana = sub.add_parser("analyze", help="offline errors and statistics")
@@ -547,6 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="e.g. `1-50,51-100,101-150,151-200`; `k` means `k-k`")
     ana.add_argument("--alpha", type=float, default=0.05)
     ana.add_argument("--out")
+    ana.add_argument("--jobs", help=JOBS_HELP)
     ana.set_defaults(func=cmd_analyze)
 
     ver = sub.add_parser("verify-theory",

@@ -201,6 +201,20 @@ def make_solver(name, f, c, budget, rng, params=None):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
+def _warmup_evals(name, params) -> int:
+    return int(params.get("warmup_evals",
+                          DEFAULT_WARMUP_EVALS if name == "pomc-wp" else 0))
+
+
+def planned_evals(name, schedule: BudgetSchedule, params=None) -> int:
+    """The evaluations `run_dynamic` will count against warm-up and tau:
+    warm-up plus tau per budget, and 0 for gga and adgga, whose scans are
+    not charged to tau."""
+    if name in ("gga", "adgga"):
+        return 0
+    return _warmup_evals(name, params or {}) + schedule.tau * (schedule.count + 1)
+
+
 def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     """Execute one algorithm over one change sequence.
 
@@ -209,8 +223,7 @@ def run_dynamic(name, f, c, schedule: BudgetSchedule, seed, params=None):
     own scans, which are kept outside the tau budget, for gga and adgga.
     """
     params = params or {}
-    warmup_evals = int(params.get("warmup_evals",
-                                  DEFAULT_WARMUP_EVALS if name == "pomc-wp" else 0))
+    warmup_evals = _warmup_evals(name, params)
     if warmup_evals < 0:
         raise ValueError(f"[run] warmup must be non-negative, got {warmup_evals}")
     budgets = schedule.budgets()

@@ -516,6 +516,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_section_refused_before_anything_is_written(
+            self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = gga\n")
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {config}: the config has no [schedule] section\n")
+        assert not (tmp_path / "results").exists()
+
 
 def test_verify_theory_passes(capsys):
     assert run_cli("verify-theory", "--seed", 0) == 0
