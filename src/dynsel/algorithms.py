@@ -389,6 +389,31 @@ class AdaptiveGreedy(_Greedy):
 # POMC
 
 
+def _mutation_draws(rng, evals, n):
+    """The random draws of `evals` mutation iterations, as
+    (u, flips, flipped) per iteration: u in [0, 1) picks the parent, the
+    bool row `flips` is a per-bit flip at 1/n, `flipped` is `flips.any()`.
+
+    Draws are taken in chunks of 4096 parent draws, each chunk's mutation
+    rows in consecutive blocks of about 32768 draws.  `random((k, n))` fills
+    row by row, so the blocks take the same stream as one `(chunk, n)` draw
+    while holding about 256 KB of floats instead of 4096 n.  POMC and EAMC
+    share this layout.
+    """
+    rate = 1.0 / n
+    rng_random = rng.random
+    block = max(1, 32768 // n)
+    done = 0
+    while done < evals:
+        chunk = min(4096, evals - done)
+        sel = rng_random(chunk).tolist()
+        for start in range(0, chunk, block):
+            flips = rng_random((min(block, chunk - start), n)) < rate
+            flipped = flips.any(axis=1).tolist()
+            yield from zip(sel[start:start + len(flipped)], flips, flipped)
+        done += chunk
+
+
 class Pomc(_Solver):
     """Pareto optimization (GSEMO) over (f1, f2) with stale-vector semantics.
 
@@ -422,11 +447,8 @@ class Pomc(_Solver):
 
     def run(self, evals: int) -> None:
         """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
-        and one evaluation (f1 = -inf iff cost > budget + 1); random draws
-        are taken in chunks of 4096 parent draws, each chunk's mutation rows
-        in consecutive blocks of about 32768 draws.  `random((k, n))` fills
-        row by row, so the blocks take the same stream as one `(chunk, n)`
-        draw while holding about 256 KB of floats instead of 4096 n.
+        (drawn by `_mutation_draws`) and one evaluation (f1 = -inf iff
+        cost > budget + 1).
 
         A child whose mutation flips no bit equals its parent.  Its
         evaluation is still counted and cut off at the current bound, but
@@ -438,31 +460,20 @@ class Pomc(_Solver):
         with distinct vectors, nothing else: the parent's entry moves to
         the end, as `_insert` would leave it.
         """
-        n, rate = self.n, 1.0 / self.n
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
         insert = self._insert
-        rng_random = self.rng.random
-        block = max(1, 32768 // n)
-        done = 0
-        while done < evals:
-            chunk = min(4096, evals - done)
-            sel = rng_random(chunk).tolist()
-            for start in range(0, chunk, block):
-                flips = rng_random((min(block, chunk - start), n)) < rate
-                flipped = flips.any(axis=1).tolist()
-                for j, u in enumerate(sel[start:start + len(flipped)]):
-                    bits, pf1, pf2 = self._bits, self._f1, self._f2
-                    k = int(u * len(bits))
-                    if flipped[j]:
-                        child = bits[k] ^ flips[j]
-                        f1, cost = evaluate(f, c, child, counter, cutoff)
-                        insert(child, f1, -cost)
-                    elif evaluate(f, c, bits[k], counter, cutoff,
-                                  (pf1[k], -pf2[k]))[0] != NEG_INF:
-                        bits.append(bits.pop(k))
-                        pf1.append(pf1.pop(k))
-                        pf2.append(pf2.pop(k))
-            done += chunk
+        for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
+            bits, pf1, pf2 = self._bits, self._f1, self._f2
+            k = int(u * len(bits))
+            if flipped:
+                child = bits[k] ^ flips
+                f1, cost = evaluate(f, c, child, counter, cutoff)
+                insert(child, f1, -cost)
+            elif evaluate(f, c, bits[k], counter, cutoff,
+                          (pf1[k], -pf2[k]))[0] != NEG_INF:
+                bits.append(bits.pop(k))
+                pf1.append(pf1.pop(k))
+                pf2.append(pf2.pop(k))
 
     def _stored(self):
         return ((f1, -f2) for f1, f2 in zip(self._f1, self._f2))
@@ -524,20 +535,8 @@ class Eamc(_Solver):
     def _g(self, fval, cost, size):
         return _eamc_g(fval, cost, size, self.alpha, self.budget)
 
-    def step(self) -> None:
-        """One offspring; a zero-flip child is answered from its parent's
-        stored (f, cost), as in `Pomc.run`."""
-        i = int(self.rng.integers(len(self._members)))
-        flips = self.rng.random(self.n) < 1.0 / self.n
-        parent, pf, pcost = self._members[i]
-        if flips.any():
-            child, known = parent ^ flips, None
-        else:
-            child, known = parent, (pf, pcost)
-        fval, cost = evaluate(self.f, self.c, child, self.counter, self.budget,
-                              known)
-        if cost > self.budget:
-            return
+    def _insert(self, child, fval, cost) -> None:
+        """Offer a feasible child to the bin of its size."""
         size = int(np.count_nonzero(child))
         entry = (child, fval, cost)
         slot = self.bins.get(size)
@@ -557,8 +556,21 @@ class Eamc(_Solver):
         self._rebuild_members()
 
     def run(self, evals: int) -> None:
-        for _ in range(evals):
-            self.step()
+        """`evals` offspring, each a uniform member mutated per bit at 1/n
+        (the draws of `_mutation_draws`, as in `Pomc.run`) and evaluated
+        with the cutoff at the budget; a zero-flip child is answered from
+        its parent's stored (f, cost)."""
+        f, c, counter, budget = self.f, self.c, self.counter, self.budget
+        for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
+            members = self._members
+            parent, pf, pcost = members[int(u * len(members))]
+            if flipped:
+                child, known = parent ^ flips, None
+            else:
+                child, known = parent, (pf, pcost)
+            fval, cost = evaluate(f, c, child, counter, budget, known)
+            if cost <= budget:
+                self._insert(child, fval, cost)
 
     def set_budget(self, budget) -> None:
         """Remove every member with cost above the new bound; keep bin(0)."""
@@ -691,28 +703,36 @@ class Nsga2(_Solver):
         return (ind.f_raw - (self.n * self.f_max + 1.0) * h,
                 ind.c_raw + (self.n * self.c_max + 1.0) * h)
 
-    def _tournament(self):
-        # two scalar draws yield the same values as one size-2 draw, faster
-        pa = self.parents[int(self.rng.integers(self.pop_size))]
-        pb = self.parents[int(self.rng.integers(self.pop_size))]
-        if pa.rank != pb.rank:
-            return pa if pa.rank < pb.rank else pb
-        return pa if pa.crowding >= pb.crowding else pb
-
     def _make_offspring(self, count):
-        out = []
-        rate = 1.0 / self.n
-        for _ in range(count):
-            p1, p2 = self._tournament(), self._tournament()
-            if self.rng.random() < self.crossover_rate:
-                take = self.rng.random(self.n) < 0.5
-                child = np.where(take, p1.bits, p2.bits)  # uint8, as both parents
-            else:
-                child = p1.bits  # not written: the XOR below makes a new array
-            child = child ^ (self.rng.random(self.n) < rate)
-            out.append(_Individual(
-                child, *evaluate(self.f, self.c, child, self.counter, POS_INF)))
-        return out
+        """`count` children, their random draws taken once per generation.
+
+        Each child's two parents come from binary tournaments over the
+        columns of `integers(pop_size, size=(count, 4))`, (0, 1) for p1 and
+        (2, 3) for p2: lower rank wins, then higher crowding, and ties go to
+        the first pick.  A coin of `random(count)` below the crossover rate
+        takes each bit from p1 where a row of `random((count, n)) < 0.5`
+        holds and from p2 elsewhere; otherwise the child copies p1.  A row
+        of `random((count, n)) < 1/n` then flips bits.  Each child costs one
+        evaluation.
+        """
+        rng, n, parents = self.rng, self.n, self.parents
+        picks = rng.integers(self.pop_size, size=(count, 4))
+        cross = rng.random(count) < self.crossover_rate
+        take = rng.random((count, n)) < 0.5
+        flips = rng.random((count, n)) < 1.0 / n
+        rank = np.array([ind.rank for ind in parents])
+        crowding = np.array([ind.crowding for ind in parents])
+        a, b = picks[:, 0::2], picks[:, 1::2]  # (count, 2): p1 and p2 picks
+        first = (rank[a] < rank[b]) | ((rank[a] == rank[b])
+                                       & (crowding[a] >= crowding[b]))
+        winners = np.where(first, a, b)
+        bits = np.array([ind.bits for ind in parents])
+        children = np.where(take | ~cross[:, None], bits[winners[:, 0]],
+                            bits[winners[:, 1]])
+        children ^= flips
+        f, c, counter = self.f, self.c, self.counter
+        return [_Individual(child, *evaluate(f, c, child, counter, POS_INF))
+                for child in children]
 
     def generation(self, size=None) -> None:
         """One generation of `size` offspring (pop_size by default), one

@@ -427,8 +427,26 @@ def _parse_intervals(spec, total):
     return out
 
 
+def _baseline_evals(spec):
+    """E of a `pomc:E` baseline (100,000 for a bare `pomc`), None for
+    `brute-force`; any other spec, or E that is not an integer >= 1, is
+    refused."""
+    if spec == "brute-force":
+        return None
+    name, _, raw = spec.partition(":")
+    if name != "pomc":
+        raise ValueError(f"unknown baseline spec {spec!r}")
+    if not raw:
+        return 100_000
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"--baseline {spec!r}: E of pomc:E must be an "
+                         f"integer >= 1")
+    return int(raw)
+
+
 def cmd_analyze(args) -> int:
     jobs = _jobs(args.jobs)
+    baseline_evals = _baseline_evals(args.baseline)
     results_dir = Path(args.results)
     manifest = json.loads((results_dir / "manifest.json").read_text())
     cfg = _read_config(results_dir / "config.ini")
@@ -437,6 +455,9 @@ def cmd_analyze(args) -> int:
     by_alg = {}
     for name in manifest["files"]:
         records = read_run_csv(results_dir / name)
+        if not records:
+            raise ValueError(f"{results_dir / name}: the run file holds no "
+                             f"records")
         alg = records[0].algorithm
         seed = int(name.rsplit("_s", 1)[1].split(".")[0])
         by_alg.setdefault(alg, {})[seed] = records
@@ -447,14 +468,11 @@ def cmd_analyze(args) -> int:
     intervals = _parse_intervals(args.intervals, total)
 
     budgets = {rec.budget for records in runs for rec in records}
-    if args.baseline == "brute-force":
+    if baseline_evals is None:
         baseline = brute_force_baseline(f, c, budgets)
-    elif args.baseline.startswith("pomc"):
-        evals = int(args.baseline.partition(":")[2] or 100_000)
-        baseline = long_run_baseline(f, c, evals=evals, budgets=budgets,
-                                     jobs=jobs)
     else:
-        raise ValueError(f"unknown baseline spec {args.baseline!r}")
+        baseline = long_run_baseline(f, c, evals=baseline_evals,
+                                     budgets=budgets, jobs=jobs)
     baseline, negatives = observed_baseline(baseline, runs)
     algorithms = sorted(by_alg)
 

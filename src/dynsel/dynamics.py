@@ -122,23 +122,40 @@ def save_schedule(schedule: BudgetSchedule, path) -> None:
 
 
 def load_schedule(path) -> BudgetSchedule:
+    """The schedule `save_schedule` wrote; a missing key or a line that is
+    not a number is refused with a ValueError that names the file."""
     header = {}
     deltas = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             if "=" in line:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
-            else:
+                continue
+            try:
                 deltas.append(float(line))
-    seed = header.get("seed") or None
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {line!r} is not a "
+                                 f"budget change") from None
+
+    def value(key, kind):
+        if key not in header:
+            raise ValueError(f"{path}: the schedule file has no {key}= line")
+        try:
+            return kind(header[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: {key}={header[key]!r} is not {what}"
+                             ) from None
+
+    seed = value("seed", int) if header.get("seed") else None
     return BudgetSchedule(
-        b_init=float(header["binit"]), b_min=float(header["bmin"]),
-        b_max=float(header["bmax"]), deltas=deltas, tau=int(header["tau"]),
-        r=float(header["r"]), seed=int(seed) if seed is not None else None)
+        b_init=value("binit", float), b_min=value("bmin", float),
+        b_max=value("bmax", float), deltas=deltas, tau=value("tau", int),
+        r=value("r", float), seed=seed)
 
 
 @dataclass

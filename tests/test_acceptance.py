@@ -160,7 +160,7 @@ def test_criterion_5_population_invariants():
     for i in range(100_000):
         if i % 20_000 == 19_999:
             eamc.set_budget(cost_budgets[(i // 20_000 + 1) % len(cost_budgets)])
-        eamc.step()
+        eamc.run(1)
         eamc.check_invariants()
 
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
                                NoFeasibleMemberError, Nsga2, Pomc, ScanMemo,
-                               TooLargeError, _eamc_g,
-                               _fast_nondominated_sort, all_subsets,
-                               brute_force_front, brute_force_opt, evaluate,
-                               gga, knapsack_opt_value)
+                               TooLargeError, _eamc_g, _Individual,
+                               _fast_nondominated_sort, _mutation_draws,
+                               all_subsets, brute_force_front, brute_force_opt,
+                               evaluate, gga, knapsack_opt_value)
 from dynsel.core import NEG_INF, EvalCounter, ObjectiveFn, phi_ratio, substream
 from dynsel.problems import (CardinalityCost, CoverageInstance, LinearCost,
                              LinearObjective, gen_adversarial_knapsack,
@@ -326,25 +327,6 @@ class Calls:
         return self.fn(bits)
 
 
-class MaskSpy:
-    """Passes random draws through and counts the 1-d mutation masks of
-    length n that flip no bit (EAMC draws one such mask per offspring)."""
-
-    def __init__(self, rng, n):
-        self.rng = rng
-        self.n = n
-        self.zero_flips = 0
-
-    def integers(self, *args, **kwargs):
-        return self.rng.integers(*args, **kwargs)
-
-    def random(self, size=None):
-        out = self.rng.random(size)
-        if size == self.n:
-            self.zero_flips += not (out < 1.0 / self.n).any()
-        return out
-
-
 class ScriptedRng:
     """POMC draws: every parent selection returns `sel`, every mutation mask
     flips nothing."""
@@ -358,10 +340,32 @@ class ScriptedRng:
         return np.full(size, self.sel)
 
 
-def _pomc_zero_flips(seed, k, n):
-    rng = substream(seed, "zero-flip")
-    rng.random(k)
-    return int((~(rng.random((k, n)) < 1.0 / n).any(axis=1)).sum())
+def _zero_flips(seed, k, n):
+    """Children among the first k of POMC's or EAMC's draws that flip no bit."""
+    draws = _mutation_draws(substream(seed, "zero-flip"), k, n)
+    return sum(not flipped for _u, _flips, flipped in draws)
+
+
+@pytest.mark.parametrize("evals", [0, 1, 4095, 4097])
+def test_mutation_draws_yield_evals_items_of_the_whole_chunk_stream(evals):
+    """At n = 100 the blocks hold 327 rows, which does not divide 4096, so
+    4097 draws cross a chunk edge and a partial last block."""
+    n = 100
+    got_rng = substream(14, "draws")
+    want_rng = substream(14, "draws")
+    got = list(_mutation_draws(got_rng, evals, n))
+    assert len(got) == evals
+    done = 0
+    while done < evals:
+        chunk = min(4096, evals - done)
+        sel = want_rng.random(chunk)
+        flips = want_rng.random((chunk, n)) < 1.0 / n
+        for j, (u, row, flipped) in enumerate(got[done:done + chunk]):
+            assert u == sel[j]
+            assert row.tolist() == flips[j].tolist()
+            assert flipped == bool(flips[j].any())
+        done += chunk
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestZeroFlip:
@@ -378,7 +382,7 @@ class TestZeroFlip:
         f, c = self.instance()
         k = 1500
         p = Pomc(f, c, budget, substream(11, "zero-flip"))
-        zero = _pomc_zero_flips(11, k, self.N)
+        zero = _zero_flips(11, k, self.N)
         base, f0, c0 = p.counter.count, f.calls, c.calls
         p.run(k)
         assert zero > k // 4  # (1 - 1/8)^8 ~ 0.34 of the children
@@ -391,14 +395,14 @@ class TestZeroFlip:
     def test_eamc_counts_every_child_and_skips_f_on_zero_flips(self, budget):
         f, c = self.instance()
         k = 1500
-        spy = MaskSpy(substream(12, "zero-flip"), self.N)
-        e = Eamc(f, c, budget, spy)
+        e = Eamc(f, c, budget, substream(12, "zero-flip"))
+        zero = _zero_flips(12, k, self.N)
         base, f0, c0 = e.counter.count, f.calls, c.calls
         e.run(k)
-        assert spy.zero_flips > k // 4
+        assert zero > k // 4
         assert e.counter.count - base == k
-        assert c.calls - c0 == k - spy.zero_flips
-        assert f.calls - f0 <= k - spy.zero_flips
+        assert c.calls - c0 == k - zero
+        assert f.calls - f0 <= k - zero
         e.check_invariants()
 
     def front_pomc(self):
@@ -467,7 +471,7 @@ class TestEamc:
     def test_tie_does_not_replace(self, g3_objective, card3):
         e = self.make(g3_objective, card3)
         entry0 = e.bins[0]
-        e.step()  # whatever happens, bin(0) holds the original all-zeros
+        e.run(1)  # whatever happens, bin(0) holds the original all-zeros
         assert e.bins[0][0] is entry0[0] or e.bins[0][0][1] > entry0[0][1]
 
     def test_set_budget_removes_infeasible(self, g3_objective):
@@ -507,7 +511,7 @@ class TestEamc:
         c = random_linear_cost(n, substream(2, "ec"))
         e = Eamc(f, c, 2.0, substream(3, "ec"))
         for _ in range(500):
-            e.step()
+            e.run(1)
             e.check_invariants()
 
 
@@ -575,6 +579,49 @@ class TestNsga2:
         solver.run(37)  # one whole generation, then 17 offspring
         assert solver.counter.count - base == 37
         assert len(solver.parents) == solver.pop_size
+
+    @pytest.mark.parametrize("count", [20, 7])
+    def test_offspring_follow_the_scalar_operators(self, count):
+        """Every child rebuilt from the same draws by the scalar rules:
+        binary tournaments by rank, then crowding, ties to the first pick;
+        uniform crossover at rate 0.9, else a copy of p1; bit flips at 1/n."""
+        n = 12
+        f = CoverageInstance(gen_random_digraph(n, 0.2, substream(7, "ns"))).objective
+        solver = Nsga2(f, random_linear_cost(n, substream(8, "ns")), 1.5,
+                       substream(9, "ns"), delta_cap=0.5)
+        solver.run(60)
+        # ranks 0-2 and crowdings with ties, +inf among them
+        parents = [_Individual(ind.bits, ind.f_raw, ind.c_raw)
+                   for ind in solver.parents]
+        for i, ind in enumerate(parents):
+            ind.rank, ind.crowding = i % 3, (math.inf if i % 4 == 0 else i % 5)
+        solver.parents = parents
+        rng = copy.deepcopy(solver.rng)
+        base = solver.counter.count
+        children = solver._make_offspring(count)
+        assert solver.counter.count - base == count
+        picks = rng.integers(solver.pop_size, size=(count, 4))
+        coins = rng.random(count)
+        takes = rng.random((count, n)) < 0.5
+        flips = rng.random((count, n)) < 1.0 / n
+
+        def tournament(i, j):
+            pa, pb = parents[i], parents[j]
+            if pa.rank != pb.rank:
+                return pa if pa.rank < pb.rank else pb
+            return pa if pa.crowding >= pb.crowding else pb
+
+        for k, child in enumerate(children):
+            p1 = tournament(picks[k, 0], picks[k, 1])
+            p2 = tournament(picks[k, 2], picks[k, 3])
+            if coins[k] < 0.9:
+                want = np.where(takes[k], p1.bits, p2.bits)
+            else:
+                want = p1.bits.copy()
+            want ^= flips[k]
+            assert child.bits.tolist() == want.tolist()
+            assert (child.f_raw, child.c_raw) == (float(f(want)),
+                                                  float(solver.c(want)))
 
     def test_whole_generations_draw_the_same_stream(self, g3_objective, card3):
         a = self.make(g3_objective, card3, seed=3)

@@ -415,20 +415,51 @@ class TestAnalyze:
         for matrix in sig["matrices"].values():
             assert len(matrix) == 2 and len(matrix[0]) == 2
 
-    def test_baseline_raised_to_beating_answers(self, tmp_path):
-        # pomc:0 keeps only the empty set, so every gga answer (f = 3 at
-        # every budget of G3) beats it
+    def test_baseline_raised_to_beating_answers(self, tmp_path, monkeypatch):
+        # a baseline that keeps only the empty set is beaten by every gga
+        # answer (f = 3 at every budget of G3)
         config = write_config(tmp_path, algorithms="gga", seeds="2",
                               tau=0, count=3)
         run_cli("run", "--config", config)
+        monkeypatch.setattr(cli, "long_run_baseline", lambda f, c, **kw: (
+            lambda budget: float(f(np.zeros(f.n, dtype=np.uint8)))))
         assert run_cli("analyze", "--results", tmp_path / "results",
-                       "--baseline", "pomc:0") == 0
+                       "--baseline", "pomc:1") == 0
         with open(tmp_path / "results" / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(row["mean"]) for row in rows] == [0.0]
         sig = json.loads(
             (tmp_path / "results" / "report.significance.json").read_text())
         assert sig["negative_errors"] == 2 * 4  # 2 seeds x 4 records
+
+    @pytest.mark.parametrize("spec", ["pomc:0", "pomc:-5", "pomc:2.5",
+                                      "pomc:x", "pomcx"])
+    def test_bad_baseline_spec_refused_before_any_baseline(
+            self, tmp_path, capsys, monkeypatch, spec):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        monkeypatch.setattr(cli, "long_run_baseline", None)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--baseline", spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynsel: error: ")
+        assert repr(spec) in err
+        assert not (tmp_path / "results" / "report.csv").exists()
+
+    def test_header_only_run_file_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        run_file = sorted((tmp_path / "results").glob("*_s*.csv"))[0]
+        run_file.write_text(run_file.read_text().splitlines(True)[0])
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynsel: error: ")
+        assert str(run_file) in err and "no records" in err
+        assert "Traceback" not in err
 
     def test_pomc_baseline_spec(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga", seeds="1",
@@ -525,6 +556,19 @@ class TestErrors:
         assert run_cli("run", "--config", config) == 2
         assert capsys.readouterr().err == (
             f"dynsel: error: {config}: the config has no [schedule] section\n")
+        assert not (tmp_path / "results").exists()
+
+    def test_schedule_file_without_binit_refused(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        (tmp_path / "sched.txt").write_text("bmin=1\nbmax=3\nr=1\ntau=5\n1\n")
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = gga\n\n"
+                          "[schedule]\npath = sched.txt\n")
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {tmp_path / 'sched.txt'}: the schedule file has "
+            f"no binit= line\n")
         assert not (tmp_path / "results").exists()
 
 

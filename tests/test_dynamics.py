@@ -68,6 +68,27 @@ class TestSchedules:
         with pytest.raises(ValueError, match="b_min"):
             load_schedule(path)
 
+    def test_schedule_file_without_a_key_refused(self, tmp_path):
+        path = tmp_path / "sched.txt"
+        path.write_text("bmin=1.0\nbmax=3.0\nr=0.5\ntau=10\nseed=\n0.5\n")
+        with pytest.raises(ValueError, match="has no binit= line") as err:
+            load_schedule(path)
+        assert str(path) in str(err.value)
+
+    def test_schedule_file_bad_delta_line_refused(self, tmp_path):
+        path = tmp_path / "sched.txt"
+        path.write_text("binit=1.0\nbmin=1.0\nbmax=3.0\nr=0.5\ntau=10\n"
+                        "seed=\n0.5\n\nabc\n")
+        with pytest.raises(ValueError, match="line 9: 'abc'") as err:
+            load_schedule(path)
+        assert str(path) in str(err.value)
+
+    def test_schedule_file_bad_header_value_refused(self, tmp_path):
+        path = tmp_path / "sched.txt"
+        path.write_text("binit=1.0\nbmin=1.0\nbmax=3.0\nr=0.5\ntau=1.5\n")
+        with pytest.raises(ValueError, match="tau='1.5' is not an integer"):
+            load_schedule(path)
+
     def test_save_load_round_trip(self, tmp_path):
         s = preset_schedule("random-cost", substream(3, "rt"), count=20,
                             tau=500, seed=3)

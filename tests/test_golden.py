@@ -5,6 +5,12 @@ and every output byte unchanged.  These records pin (budget, best_f,
 best_cost, evaluations) per change, so any drift in an evaluation count or a
 random stream fails here.  `tau` is not a multiple of NSGA-II's population
 size, so partial generations are covered too.
+
+Version 0.2.0 re-drew two streams on purpose: EAMC takes its draws in POMC's
+block layout and NSGA-II takes its draws once per generation, so the six
+eamc and nsga2 entries were regenerated with `golden_records`; their
+evaluation counts did not change.  Every other entry, and so every other
+stream, is still pinned as before.
 """
 
 import tracemalloc
@@ -107,21 +113,21 @@ GOLDEN = {
     ],
     ('coverage-outdegree', 'eamc'): [
         (8.0, 16.0, 8.0, 37),
-        (11.0, 16.0, 8.0, 74),
-        (7.0, 15.0, 7.0, 111),
-        (9.0, 15.0, 7.0, 148),
-        (4.0, 11.0, 4.0, 185),
-        (8.0, 14.0, 7.0, 222),
-        (9.0, 15.0, 7.0, 259),
+        (11.0, 18.0, 10.0, 74),
+        (7.0, 12.0, 6.0, 111),
+        (9.0, 14.0, 9.0, 148),
+        (4.0, 10.0, 4.0, 185),
+        (8.0, 14.0, 8.0, 222),
+        (9.0, 14.0, 8.0, 259),
     ],
     ('coverage-outdegree', 'nsga2'): [
-        (8.0, 16.0, 8.0, 37),
-        (11.0, 16.0, 8.0, 74),
-        (7.0, 15.0, 7.0, 111),
-        (9.0, 16.0, 8.0, 148),
-        (4.0, 10.0, 4.0, 185),
-        (8.0, 15.0, 8.0, 222),
-        (9.0, 17.0, 9.0, 259),
+        (8.0, 14.0, 7.0, 37),
+        (11.0, 15.0, 8.0, 74),
+        (7.0, 14.0, 7.0, 111),
+        (9.0, 17.0, 9.0, 148),
+        (4.0, 11.0, 4.0, 185),
+        (8.0, 12.0, 5.0, 222),
+        (9.0, 16.0, 8.0, 259),
     ],
     ('coverage-random-linear', 'gga'): [
         (1.0, 14.0, 0.9198539462406712, 153),
@@ -156,20 +162,20 @@ GOLDEN = {
         (1.2, 14.0, 0.883617554364137, 138),
     ],
     ('coverage-random-linear', 'eamc'): [
-        (1.0, 12.0, 0.9027707565154641, 23),
-        (1.3, 12.0, 0.9027707565154641, 46),
-        (0.8, 11.0, 0.5428104483492274, 69),
-        (1.0, 13.0, 0.7454440150989798, 92),
-        (0.6, 11.0, 0.5428104483492274, 115),
-        (1.2, 13.0, 1.075414646661552, 138),
-    ],
-    ('coverage-random-linear', 'nsga2'): [
         (1.0, 14.0, 0.8828974299158204, 23),
         (1.3, 14.0, 0.8828974299158204, 46),
-        (0.8, 12.0, 0.3534515765600894, 69),
-        (1.0, 14.0, 0.8828974299158204, 92),
+        (0.8, 13.0, 0.32064812807058674, 69),
+        (1.0, 14.0, 0.744673483308817, 92),
         (0.6, 13.0, 0.32064812807058674, 115),
-        (1.2, 15.0, 1.0853899872690598, 138),
+        (1.2, 13.0, 0.32064812807058674, 138),
+    ],
+    ('coverage-random-linear', 'nsga2'): [
+        (1.0, 13.0, 0.6220730022435726, 23),
+        (1.3, 14.0, 1.2202809662206326, 46),
+        (0.8, 13.0, 0.6220730022435726, 69),
+        (1.0, 13.0, 0.6220730022435726, 92),
+        (0.6, 12.0, 0.4195804448903334, 115),
+        (1.2, 14.0, 1.046098357481803, 138),
     ],
     ('influence-routing', 'gga'): [
         (2.5, 12.25, 2.4819342793743315, 153),
@@ -208,22 +214,22 @@ GOLDEN = {
         (2.7, 12.0, 2.5698988768534456, 203),
     ],
     ('influence-routing', 'eamc'): [
-        (2.5, 11.4, 2.4759556186226614, 29),
-        (3.0, 11.4, 2.4759556186226614, 58),
-        (2.2, 11.0, 1.995588153668583, 87),
-        (2.6, 11.0, 1.995588153668583, 116),
-        (1.7000000000000002, 8.85, 1.3692508132458427, 145),
-        (2.4000000000000004, 9.9, 2.1102671665905746, 174),
-        (2.7, 11.85, 2.6318076274653404, 203),
+        (2.5, 10.25, 2.3059161833053206, 29),
+        (3.0, 11.25, 2.674792297419849, 58),
+        (2.2, 9.9, 2.189876948146725, 87),
+        (2.6, 10.2, 2.4809721354258154, 116),
+        (1.7000000000000002, 8.7, 1.568896616206648, 145),
+        (2.4000000000000004, 10.7, 2.2986383583234042, 174),
+        (2.7, 10.7, 2.2986383583234042, 203),
     ],
     ('influence-routing', 'nsga2'): [
-        (2.5, 11.3, 2.3971951783516867, 29),
-        (3.0, 11.7, 2.8776470748661356, 58),
-        (2.2, 10.25, 2.135574291973582, 87),
-        (2.6, 11.3, 2.3971951783516867, 116),
-        (1.7000000000000002, 8.75, 1.5930914948130286, 145),
-        (2.4000000000000004, 11.5, 2.347902874515524, 174),
-        (2.7, 11.5, 2.347902874515524, 203),
+        (2.5, 10.85, 2.4800910634627504, 29),
+        (3.0, 11.75, 2.8522607294759874, 58),
+        (2.2, 10.3, 2.0621003962438857, 87),
+        (2.6, 11.35, 2.487388629300682, 116),
+        (1.7000000000000002, 9.8, 1.4619029758949185, 145),
+        (2.4000000000000004, 10.9, 2.1982780954004872, 174),
+        (2.7, 11.35, 2.487388629300682, 203),
     ],
 }
 
