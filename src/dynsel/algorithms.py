@@ -1,9 +1,10 @@
 """The five solvers plus exhaustive oracles.
 
 Every solver derives from `_Solver` and shares one protocol: `set_budget(b)`
-applies a dynamic change, `run(evals)` spends exactly `evals` evaluations,
-and `answer_value(budget)` reads the best stored (f, cost) within a bound
-(the current one by default).  Each solver owns its `counter`.
+applies a dynamic change, `run(evals)` spends exactly `evals` evaluations
+(a negative count is refused), and `answer_value(budget)` reads the best
+stored (f, cost) within a bound (the current one by default).  Each solver
+owns its `counter`.
 
 Greedy (GGA, `Gga`) and its adaptive variant (AdGGA) draw no random numbers
 and do their whole work in `set_budget`: every evaluation of their scans is
@@ -17,6 +18,7 @@ infeasibility cutoff.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -129,7 +131,8 @@ class _Solver:
     A solver holds f, c, n, the current bound and the `EvalCounter` it
     counts its own evaluations on.  Each subclass lists its stored (f, cost)
     pairs in `_stored()`, in the order ties go; `answer_value` reads the
-    answer from them.
+    answer from them.  `run` checks the count and leaves the work to the
+    subclass's `_run`.
     """
 
     def __init__(self, f, c, budget):
@@ -142,6 +145,13 @@ class _Solver:
     def set_budget(self, budget) -> None:
         """Dynamic change; stored values are left as they are."""
         self.budget = float(budget)
+
+    def run(self, evals: int) -> None:
+        """Spend exactly `evals` evaluations in `_run`; a negative count is
+        refused with a ValueError."""
+        if evals < 0:
+            raise ValueError(f"evals must be non-negative, got {evals}")
+        self._run(evals)
 
     def answer_value(self, budget=None):
         """(f, cost) of the first stored pair with the highest f among those
@@ -290,7 +300,7 @@ class _Greedy(_Solver):
         super().__init__(f, c, budget)
         self._answer = None  # (f, cost), set by set_budget
 
-    def run(self, evals: int) -> None:
+    def _run(self, evals: int) -> None:
         """Greedy spends no share of tau."""
 
     def _stored(self):
@@ -445,7 +455,7 @@ class Pomc(_Solver):
         self._f1 = [pf1[i] for i in keep] + [f1]
         self._f2 = [pf2[i] for i in keep] + [f2]
 
-    def run(self, evals: int) -> None:
+    def _run(self, evals: int) -> None:
         """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
         (drawn by `_mutation_draws`) and one evaluation (f1 = -inf iff
         cost > budget + 1).
@@ -555,9 +565,9 @@ class Eamc(_Solver):
                 return
         self._rebuild_members()
 
-    def run(self, evals: int) -> None:
+    def _run(self, evals: int) -> None:
         """`evals` offspring, each a uniform member mutated per bit at 1/n
-        (the draws of `_mutation_draws`, as in `Pomc.run`) and evaluated
+        (the draws of `_mutation_draws`, as in `Pomc._run`) and evaluated
         with the cutoff at the budget; a zero-flip child is answered from
         its parent's stored (f, cost)."""
         f, c, counter, budget = self.f, self.c, self.counter, self.budget
@@ -598,74 +608,80 @@ class Eamc(_Solver):
 # NSGA-II with elitism
 
 
-class _Individual:
-    __slots__ = ("bits", "f_raw", "c_raw", "rank", "crowding")
+def _fronts(f, c, size):
+    """Deb's non-dominated fronts of the pairs (f[i], c[i]), f maximised and
+    c minimised, as index lists, listed until they hold `size` members.
 
-    def __init__(self, bits, f_raw, c_raw):
-        self.bits = bits
-        self.f_raw = f_raw
-        self.c_raw = c_raw
-        self.rank = 0
-        self.crowding = POS_INF
-
-
-def _best_within(individuals, budget):
-    """Highest raw-f individual with raw cost <= budget (first on ties)."""
-    best = None
-    for ind in individuals:
-        if ind.c_raw <= budget and (best is None or ind.f_raw > best.f_raw):
-            best = ind
-    return best
-
-
-def _fast_nondominated_sort(objs):
-    """objs: list of (maximize, minimize) pairs; returns list of fronts
-    (index lists)."""
-    m = len(objs)
-    dominated_by = [[] for _ in range(m)]
-    dom_count = [0] * m
-    fronts = [[]]
-    for i in range(m):
-        fi, ci = objs[i]
-        for j in range(i + 1, m):
-            fj, cj = objs[j]
-            if fi >= fj and ci <= cj and (fi > fj or ci < cj):
-                dominated_by[i].append(j)
-                dom_count[j] += 1
-            elif fj >= fi and cj <= ci and (fj > fi or cj < ci):
-                dominated_by[j].append(i)
-                dom_count[i] += 1
-        if dom_count[i] == 0:
-            fronts[0].append(i)
-    k = 0
-    while fronts[k]:
-        nxt = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                dom_count[j] -= 1
-                if dom_count[j] == 0:
-                    nxt.append(j)
-        fronts.append(nxt)
-        k += 1
-    return fronts[:-1]
+    Ranks come from one sweep (Jensen, IEEE TEC 2003) over the pairs in
+    order of f descending, then c ascending, ties by index: each pair joins
+    the first front whose last-placed member does not dominate it.  Within
+    a front the sweep places c non-increasing, so the last-placed member
+    has the front's lowest c and decides alone; its c never falls from one
+    front to the next, so bisection over them finds that front.  Each
+    front is then ordered as Deb's O(m²) procedure lists it: front 0 by
+    index, front k + 1 by the position in front k of each member's last
+    dominator there, ties by index.
+    """
+    order = sorted(range(len(f)), key=c.__getitem__)
+    order.sort(key=[-fi for fi in f].__getitem__)
+    swept, last_f, last_c = [], [], []  # per front: members in sweep order
+    for i in order:
+        fi, ci = f[i], c[i]
+        # the fronts that dominate (fi, ci): those with last_c < ci, then
+        # those with last_c == ci and a higher last f
+        lo = bisect_left(last_c, ci)
+        while lo < len(swept) and last_c[lo] == ci and last_f[lo] > fi:
+            lo += 1
+        if lo == len(swept):
+            swept.append([i])
+            last_f.append(fi)
+            last_c.append(ci)
+        else:
+            swept[lo].append(i)
+            last_f[lo], last_c[lo] = fi, ci
+    fronts = [sorted(swept[0])]
+    total = len(fronts[0])
+    for k in range(1, len(swept)):
+        if total >= size:
+            break
+        before = swept[k - 1]
+        position = {i: p for p, i in enumerate(fronts[-1])}
+        positions = [position[i] for i in before]
+        # along the sweep -f and -c rise, so the dominators of j in front
+        # k - 1 are the run with f >= f[j] and c <= c[j]
+        neg_f = [-f[i] for i in before]
+        neg_c = [-c[i] for i in before]
+        front = sorted(swept[k], key=lambda j: (max(positions[
+            bisect_left(neg_c, -c[j]):bisect_right(neg_f, -f[j])]), j))
+        fronts.append(front)
+        total += len(front)
+    return fronts
 
 
-def _crowding_distances(objs, front):
-    dist = {i: 0.0 for i in front}
+def _crowding(f, c, front, out):
+    """Write the crowding distance of each member i of `front` to out[i].
+
+    Members of a front do not dominate each other, so a higher f means a
+    higher c and an equal f an equal c: stable sorts by f and by c give one
+    permutation.  Its two ends get +inf; every other member adds its
+    neighbours' f gap over the f span, then their c gap over the c span.
+    Fronts of one or two members are all ends.
+    """
     if len(front) <= 2:
-        return {i: POS_INF for i in front}
-    for dim in range(2):
-        ordered = sorted(front, key=lambda i: objs[i][dim])
-        lo, hi = objs[ordered[0]][dim], objs[ordered[-1]][dim]
-        dist[ordered[0]] = dist[ordered[-1]] = POS_INF
-        span = hi - lo
-        if span <= 0:
-            continue
-        for a in range(1, len(ordered) - 1):
-            i = ordered[a]
-            if dist[i] != POS_INF:
-                dist[i] += (objs[ordered[a + 1]][dim] - objs[ordered[a - 1]][dim]) / span
-    return dist
+        for i in front:
+            out[i] = POS_INF
+        return
+    ordered = sorted(front, key=f.__getitem__)
+    lo, hi = ordered[0], ordered[-1]
+    out[lo] = out[hi] = POS_INF
+    span_f, span_c = f[hi] - f[lo], c[hi] - c[lo]
+    for prev, i, nxt in zip(ordered, ordered[1:-1], ordered[2:]):
+        dist = 0.0
+        if span_f > 0:
+            dist += (f[nxt] - f[prev]) / span_f
+        if span_c > 0:
+            dist += (c[nxt] - c[prev]) / span_c
+        out[i] = dist
 
 
 class Nsga2(_Solver):
@@ -678,6 +694,13 @@ class Nsga2(_Solver):
     sort, the best feasible member's crowding distance is set to +inf so it
     survives truncation.  Penalties are derived from stored raw values, so
     a budget change costs no evaluations.
+
+    The parents are the rows of the `(pop_size, n)` uint8 matrix `parents`
+    with their raw f, raw cost, rank and crowding distance in the lists
+    `f_raw`, `c_raw`, `rank` and `crowding`.  The constructor fills them
+    with pop_size copies of the seed individual, the empty set, which
+    `is_seed` marks.  The copies stand for one individual: they share one
+    rank and one crowding distance in every generation.
     """
 
     pop_size = 20
@@ -690,78 +713,108 @@ class Nsga2(_Solver):
         full = np.ones(self.n, dtype=np.uint8)
         self.f_max = float(f(full))
         self.c_max = float(c(full))
-        zeros = np.zeros(self.n, dtype=np.uint8)
-        self.seed_individual = _Individual(
-            zeros, *evaluate(f, c, zeros, self.counter, POS_INF))
-        self.parents = [self.seed_individual] * self.pop_size
+        self.parents = np.zeros((self.pop_size, self.n), dtype=np.uint8)
+        self.seed_value = evaluate(f, c, self.parents[0], self.counter, POS_INF)
+        self.f_raw = [self.seed_value[0]] * self.pop_size
+        self.c_raw = [self.seed_value[1]] * self.pop_size
+        self.rank = [0] * self.pop_size
+        self.crowding = [POS_INF] * self.pop_size
+        self.is_seed = [True] * self.pop_size
 
-    def _penalized(self, ind):
+    def _penalized(self, f_raw, c_raw):
+        """(f_N, c_N) of a raw (f, cost) under the current bound."""
         cap = self.budget + self.delta_cap
-        if ind.c_raw <= cap:
-            return ind.f_raw, ind.c_raw
-        h = ind.c_raw - cap
-        return (ind.f_raw - (self.n * self.f_max + 1.0) * h,
-                ind.c_raw + (self.n * self.c_max + 1.0) * h)
+        if c_raw <= cap:
+            return f_raw, c_raw
+        h = c_raw - cap
+        return (f_raw - (self.n * self.f_max + 1.0) * h,
+                c_raw + (self.n * self.c_max + 1.0) * h)
 
     def _make_offspring(self, count):
-        """`count` children, their random draws taken once per generation.
+        """`count` children as (bits, raw f list, raw cost list), their
+        random draws taken once per generation.
 
         Each child's two parents come from binary tournaments over the
         columns of `integers(pop_size, size=(count, 4))`, (0, 1) for p1 and
         (2, 3) for p2: lower rank wins, then higher crowding, and ties go to
-        the first pick.  A coin of `random(count)` below the crossover rate
-        takes each bit from p1 where a row of `random((count, n)) < 0.5`
-        holds and from p2 elsewhere; otherwise the child copies p1.  A row
-        of `random((count, n)) < 1/n` then flips bits.  Each child costs one
+        the first pick.  One `random(count * (2n + 1))` then holds, in this
+        order, the same stream as three calls: `count` crossover coins,
+        `(count, n)` crossover masks and `(count, n)` mutation masks.  A
+        coin below the crossover rate takes each bit from p1 where its mask
+        row is below 0.5 and from p2 elsewhere; otherwise the child copies
+        p1.  A mutation row below 1/n then flips bits.  Each child costs one
         evaluation.
         """
-        rng, n, parents = self.rng, self.n, self.parents
+        rng, n = self.rng, self.n
         picks = rng.integers(self.pop_size, size=(count, 4))
-        cross = rng.random(count) < self.crossover_rate
-        take = rng.random((count, n)) < 0.5
-        flips = rng.random((count, n)) < 1.0 / n
-        rank = np.array([ind.rank for ind in parents])
-        crowding = np.array([ind.crowding for ind in parents])
-        a, b = picks[:, 0::2], picks[:, 1::2]  # (count, 2): p1 and p2 picks
-        first = (rank[a] < rank[b]) | ((rank[a] == rank[b])
-                                       & (crowding[a] >= crowding[b]))
-        winners = np.where(first, a, b)
-        bits = np.array([ind.bits for ind in parents])
-        children = np.where(take | ~cross[:, None], bits[winners[:, 0]],
-                            bits[winners[:, 1]])
+        draws = rng.random(count * (2 * n + 1))
+        cross = draws[:count] < self.crossover_rate
+        take = draws[count:count * (n + 1)].reshape(count, n) < 0.5
+        flips = draws[count * (n + 1):].reshape(count, n) < 1.0 / n
+        rank, crowding = self.rank, self.crowding
+        winners = [a if rank[a] < rank[b] or (rank[a] == rank[b]
+                                              and crowding[a] >= crowding[b])
+                   else b for a, b in picks.reshape(-1, 2).tolist()]
+        chosen = self.parents[winners]  # rows p1, p2 of each child in turn
+        children = np.where(take | ~cross[:, None], chosen[0::2], chosen[1::2])
         children ^= flips
         f, c, counter = self.f, self.c, self.counter
-        return [_Individual(child, *evaluate(f, c, child, counter, POS_INF))
-                for child in children]
+        values = [evaluate(f, c, child, counter, POS_INF) for child in children]
+        return (children, [fval for fval, _ in values],
+                [cost for _, cost in values])
 
     def generation(self, size=None) -> None:
         """One generation of `size` offspring (pop_size by default), one
-        evaluation each, truncated back to pop_size survivors."""
-        offspring = self._make_offspring(self.pop_size if size is None else size)
-        pool = self.parents + offspring
-        objs = [self._penalized(ind) for ind in pool]
-        fronts = _fast_nondominated_sort(objs)
-        for rank, front in enumerate(fronts):
-            dist = _crowding_distances(objs, front)
-            for i in front:
-                pool[i].rank = rank
-                pool[i].crowding = dist[i]
-        elite = _best_within(pool, self.budget)
-        if elite is not None:
-            elite.crowding = POS_INF
-        nxt = []
-        for front in fronts:
-            if len(nxt) + len(front) <= self.pop_size:
-                nxt.extend(pool[i] for i in front)
-            else:
-                rest = sorted(front, key=lambda i: -pool[i].crowding)
-                nxt.extend(pool[i] for i in rest[: self.pop_size - len(nxt)])
-                break
-        self.parents = nxt
+        evaluation each, truncated back to pop_size survivors.
 
-    def run(self, evals: int) -> None:
-        """Exactly `evals` evaluations: whole generations, then one partial
-        generation for the remainder."""
+        Ranks and crowding distances are computed only for the fronts that
+        hold the survivors (`_fronts`), up to the one that crosses pop_size;
+        copies of one vector always share a front.
+        """
+        count = self.pop_size if size is None else size
+        children, child_f, child_c = self._make_offspring(count)
+        f_raw, c_raw = self.f_raw + child_f, self.c_raw + child_c
+        is_seed = self.is_seed + [False] * count
+        cap = self.budget + self.delta_cap
+        pen_f, pen_c = f_raw[:], c_raw[:]
+        for i, cost in enumerate(c_raw):
+            if cost > cap:
+                pen_f[i], pen_c[i] = self._penalized(f_raw[i], cost)
+        fronts = _fronts(pen_f, pen_c, self.pop_size)
+        rank = [0] * len(f_raw)
+        crowding = [0.0] * len(f_raw)
+        for r, front in enumerate(fronts):
+            for i in front:
+                rank[i] = r
+            _crowding(pen_f, pen_c, front, crowding)
+        feasible = [i for i, cost in enumerate(c_raw) if cost <= self.budget]
+        elite = max(feasible, key=f_raw.__getitem__) if feasible else None
+        # the seed copies are one individual: the distance of the copy last
+        # in fronts order holds for all of them, or +inf if one is the elite
+        seeds = [i for front in fronts for i in front if is_seed[i]]
+        if seeds:
+            shared = POS_INF if elite in seeds else crowding[seeds[-1]]
+            for i in seeds:
+                crowding[i] = shared
+        if elite is not None:
+            crowding[elite] = POS_INF
+        keep = []
+        for front in fronts:
+            room = self.pop_size - len(keep)
+            if len(front) > room:
+                front = sorted(front, key=crowding.__getitem__,
+                               reverse=True)[:room]
+            keep.extend(front)
+        self.parents = np.concatenate((self.parents, children))[keep]
+        self.f_raw = [f_raw[i] for i in keep]
+        self.c_raw = [c_raw[i] for i in keep]
+        self.rank = [rank[i] for i in keep]
+        self.crowding = [crowding[i] for i in keep]
+        self.is_seed = [is_seed[i] for i in keep]
+
+    def _run(self, evals: int) -> None:
+        """Whole generations, then one partial generation for the
+        remainder."""
         whole, rest = divmod(evals, self.pop_size)
         for _ in range(whole):
             self.generation()
@@ -769,7 +822,7 @@ class Nsga2(_Solver):
             self.generation(rest)
 
     def _stored(self):
-        return ((ind.f_raw, ind.c_raw) for ind in self.parents)
+        return zip(self.f_raw, self.c_raw)
 
     def answer_value(self, budget=None):
         """Override: when no parent fits, the answer is the seed individual,
@@ -777,4 +830,4 @@ class Nsga2(_Solver):
         try:
             return super().answer_value(budget)
         except NoFeasibleMemberError:
-            return self.seed_individual.f_raw, self.seed_individual.c_raw
+            return self.seed_value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -128,6 +129,8 @@ def _schedule_flags(args) -> dict:
 
 
 def cmd_generate(args) -> int:
+    if args.tau < 0:
+        raise ValueError(f"--tau must be non-negative, got {args.tau}")
     rng = substream(args.seed, "generate", args.kind)
     out = Path(args.out)
     if args.kind == "schedule":
@@ -193,6 +196,29 @@ def _read_config(path) -> configparser.ConfigParser:
         if not cfg.has_section(section):
             raise ValueError(f"{path}: the config has no [{section}] section")
     return cfg
+
+
+def _config_int(section, key, default, minimum):
+    """`[section] key` as an integer >= `minimum`, `default` when absent."""
+    raw = section.get(key)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise ValueError(f"[{section.name}] {key} must be an integer >= "
+                         f"{minimum}, got {raw!r}")
+    return value
+
+
+def _distinct(values, field):
+    """`values`, refused by `field` when one of them repeats."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{field} lists {value!r} twice")
+    return values
 
 
 def _jobs(raw) -> int:
@@ -288,11 +314,10 @@ def build_schedule(cfg, base_dir: Path, run_seed: int):
     """The schedule of run seed `run_seed`: read from `[schedule] path`, or
     drawn from the preset's parameters with every given key laid over them."""
     sched_sec = cfg["schedule"]
+    tau = _config_int(sched_sec, "tau", None, 0)
     if sched_sec.get("path"):
         sched = load_schedule(base_dir / sched_sec.get("path"))
-        if sched_sec.get("tau"):
-            sched.tau = sched_sec.getint("tau")
-        return sched
+        return sched if tau is None else dataclasses.replace(sched, tau=tau)
     seed = sched_sec.getint("seed", 0) + run_seed
     given = {param: sched_sec.getfloat(key) for key, param in SCHEDULE_KEYS.items()
              if sched_sec.get(key)}
@@ -301,14 +326,21 @@ def build_schedule(cfg, base_dir: Path, run_seed: int):
     return preset_schedule(sched_sec.get("preset") or None,
                            substream(seed, "schedule"),
                            count=sched_sec.getint("count", 200),
-                           tau=sched_sec.getint("tau", 1000), seed=seed, **given)
+                           tau=1000 if tau is None else tau, seed=seed, **given)
 
 
 def _run_seeds(run_sec):
-    raw = run_sec.get("seeds", "1")
-    if "," in raw:
-        return [int(s) for s in raw.split(",")]
-    return list(range(int(raw)))
+    """`[run] seeds`: a count k >= 1 (seeds 0 to k - 1, one by default) or
+    a comma-separated list of distinct integers."""
+    raw = run_sec.get("seeds", "")
+    if "," not in raw:
+        return list(range(_config_int(run_sec, "seeds", 1, 1)))
+    try:
+        seeds = [int(s) for s in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"[run] seeds must be a count or a list of "
+                         f"integers, got {raw!r}") from None
+    return _distinct(seeds, "[run] seeds")
 
 
 def cmd_run(args) -> int:
@@ -321,11 +353,13 @@ def cmd_run(args) -> int:
     for a in algorithms:
         if a not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}")
+    _distinct(algorithms, "[run] algorithms")
     seeds = _run_seeds(run_sec)
+    warmup = _config_int(run_sec, "warmup", None, 0)
     f, c, meta = build_instance(cfg, base_dir)
     params = {}
-    if run_sec.get("warmup"):
-        params["warmup_evals"] = run_sec.getint("warmup")
+    if warmup is not None:
+        params["warmup_evals"] = warmup
     if cfg["schedule"].get("r"):
         params["delta_cap"] = cfg["schedule"].getfloat("r")
     per_seed = {}  # seed -> (schedule, params as a serial loop had them)
@@ -447,6 +481,8 @@ def _baseline_evals(spec):
 def cmd_analyze(args) -> int:
     jobs = _jobs(args.jobs)
     baseline_evals = _baseline_evals(args.baseline)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha!r}")
     results_dir = Path(args.results)
     manifest = json.loads((results_dir / "manifest.json").read_text())
     cfg = _read_config(results_dir / "config.ini")
@@ -606,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="`brute-force` or `pomc:<evals>`")
     ana.add_argument("--intervals", default="",
                      help="e.g. `1-50,51-100,101-150,151-200`; `k` means `k-k`")
-    ana.add_argument("--alpha", type=float, default=0.05)
+    ana.add_argument("--alpha", type=float, default=0.05,
+                     help="significance level, in (0, 1)")
     ana.add_argument("--out")
     ana.add_argument("--jobs", help=JOBS_HELP)
     ana.set_defaults(func=cmd_analyze)

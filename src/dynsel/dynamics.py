@@ -39,6 +39,8 @@ class BudgetSchedule:
     def __post_init__(self):
         if self.b_min < 0:
             raise ValueError(f"b_min must be non-negative, got {self.b_min!r}")
+        if self.tau < 0:
+            raise ValueError(f"tau must be non-negative, got {self.tau!r}")
         if not self.b_min <= self.b_init <= self.b_max:
             raise ValueError("need b_min <= b_init <= b_max")
         if any(abs(d) > self.r + 1e-12 for d in self.deltas):
@@ -122,8 +124,9 @@ def save_schedule(schedule: BudgetSchedule, path) -> None:
 
 
 def load_schedule(path) -> BudgetSchedule:
-    """The schedule `save_schedule` wrote; a missing key or a line that is
-    not a number is refused with a ValueError that names the file."""
+    """The schedule `save_schedule` wrote; a missing key, a line that is
+    not a number or a value `BudgetSchedule` refuses (a negative tau, say)
+    is refused with a ValueError that names the file."""
     header = {}
     deltas = []
     with open(path) as fh:
@@ -152,10 +155,13 @@ def load_schedule(path) -> BudgetSchedule:
                              ) from None
 
     seed = value("seed", int) if header.get("seed") else None
-    return BudgetSchedule(
-        b_init=value("binit", float), b_min=value("bmin", float),
-        b_max=value("bmax", float), deltas=deltas, tau=value("tau", int),
-        r=value("r", float), seed=seed)
+    fields = dict(b_init=value("binit", float), b_min=value("bmin", float),
+                  b_max=value("bmax", float), tau=value("tau", int),
+                  r=value("r", float))
+    try:
+        return BudgetSchedule(deltas=deltas, seed=seed, **fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -6,8 +6,8 @@ import pytest
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
                                NoFeasibleMemberError, Nsga2, Pomc, ScanMemo,
-                               TooLargeError, _eamc_g, _Individual,
-                               _fast_nondominated_sort, _mutation_draws,
+                               TooLargeError, _crowding, _eamc_g, _fronts,
+                               _mutation_draws,
                                all_subsets, brute_force_front, brute_force_opt,
                                evaluate, gga, knapsack_opt_value)
 from dynsel.core import NEG_INF, EvalCounter, ObjectiveFn, phi_ratio, substream
@@ -519,41 +519,163 @@ class TestEamc:
 # NSGA-II
 
 
+def deb_sort(objs):
+    """Deb's fast non-dominated sort, O(m²), the oracle for `_fronts`.
+    objs: list of (maximize, minimize) pairs; returns every front (index
+    lists) in Deb's order."""
+    m = len(objs)
+    dominated_by = [[] for _ in range(m)]
+    dom_count = [0] * m
+    fronts = [[]]
+    for i in range(m):
+        fi, ci = objs[i]
+        for j in range(i + 1, m):
+            fj, cj = objs[j]
+            if fi >= fj and ci <= cj and (fi > fj or ci < cj):
+                dominated_by[i].append(j)
+                dom_count[j] += 1
+            elif fj >= fi and cj <= ci and (fj > fi or cj < ci):
+                dominated_by[j].append(i)
+                dom_count[i] += 1
+        if dom_count[i] == 0:
+            fronts[0].append(i)
+    k = 0
+    while fronts[k]:
+        nxt = []
+        for i in fronts[k]:
+            for j in dominated_by[i]:
+                dom_count[j] -= 1
+                if dom_count[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+        k += 1
+    return fronts[:-1]
+
+
+def two_sort_crowding(objs, front):
+    """Crowding distances with one sort per objective, the oracle for
+    `_crowding`; {index: distance}."""
+    dist = {i: 0.0 for i in front}
+    if len(front) <= 2:
+        return {i: math.inf for i in front}
+    for dim in range(2):
+        ordered = sorted(front, key=lambda i: objs[i][dim])
+        lo, hi = objs[ordered[0]][dim], objs[ordered[-1]][dim]
+        dist[ordered[0]] = dist[ordered[-1]] = math.inf
+        span = hi - lo
+        if span <= 0:
+            continue
+        for a in range(1, len(ordered) - 1):
+            i = ordered[a]
+            if dist[i] != math.inf:
+                dist[i] += (objs[ordered[a + 1]][dim]
+                            - objs[ordered[a - 1]][dim]) / span
+    return dist
+
+
+def random_pools(count):
+    """Seeded (f, c) pools of 2-40 pairs from few levels, so ties and
+    duplicate pairs are common; about a third of the raw costs exceed the
+    cap B + delta = 2 and are penalised as `Nsga2._penalized` does."""
+    f3 = LinearObjective([3.0, 1.0, 1.0])
+    solver = Nsga2(f3, CardinalityCost(3), 1.0, substream(0, "pools"),
+                   delta_cap=1.0)
+    rng = substream(1, "pools")
+    for _ in range(count):
+        m = int(rng.integers(2, 41))
+        levels = int(rng.integers(1, 7))
+        raw_f = rng.integers(0, levels, size=m).tolist()
+        raw_c = rng.integers(0, levels, size=m).tolist()
+        pairs = [solver._penalized(float(fv), float(cv))
+                 for fv, cv in zip(raw_f, raw_c)]
+        yield [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 class TestNsga2:
     def make(self, f, c, budget=2.0, seed=0, **kw):
         kw.setdefault("delta_cap", 1.0)
         return Nsga2(f, c, budget, substream(seed, "nsga"), **kw)
 
     def test_sort_two_point_front(self):
-        fronts = _fast_nondominated_sort([(3.0, 1.0), (2.0, 2.0)])
-        assert fronts == [[0], [1]]
+        fronts = _fronts([3.0, 2.0], [1.0, 2.0], 2)
+        assert fronts == [[0], [1]] == deb_sort([(3.0, 1.0), (2.0, 2.0)])
 
     def test_sort_incomparable(self):
-        fronts = _fast_nondominated_sort([(3.0, 2.0), (2.0, 1.0)])
-        assert fronts == [[0, 1]]
+        fronts = _fronts([3.0, 2.0], [2.0, 1.0], 2)
+        assert fronts == [[0, 1]] == deb_sort([(3.0, 2.0), (2.0, 1.0)])
+
+    def test_sort_stops_at_the_front_that_reaches_size(self):
+        f, c = [4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]  # a chain
+        assert _fronts(f, c, 1) == [[0]]
+        assert _fronts(f, c, 3) == [[0], [1], [2]]
+        assert _fronts(f, c, 9) == [[0], [1], [2], [3]]
+
+    def test_sweep_matches_deb_order_on_random_pools(self):
+        """Ranks and Deb's order within each front, on pools with
+        duplicates and penalised pairs: the result is the prefix of the
+        oracle's fronts that first holds `size` members."""
+        checked = 0
+        for f, c in random_pools(3000):
+            want = deb_sort(list(zip(f, c)))
+            m = len(f)
+            for size in (1, m // 2, 20, m):
+                got = _fronts(f, c, size)
+                assert got == want[:len(got)]
+                held = [len(front) for front in got]
+                assert sum(held) >= min(size, m)
+                assert sum(held[:-1]) < size
+            checked += len(want) > 2
+        assert checked > 1000  # most pools hold three fronts or more
+
+    def test_one_sort_crowding_equals_two_sorts(self):
+        for f, c in random_pools(1000):
+            objs = list(zip(f, c))
+            out = [None] * len(f)
+            for front in deb_sort(objs):
+                _crowding(f, c, front, out)
+                want = two_sort_crowding(objs, front)
+                assert [out[i] for i in front] == [want[i] for i in front]
 
     def test_penalty_beyond_cap(self, g3_objective, card3):
         solver = self.make(g3_objective, card3, budget=1.0)
-        from dynsel.algorithms import _Individual
-
         eps = 0.5
-        ind = _Individual(bits_of(3, [0, 1, 2]), 3.0, 1.0 + 1.0 + eps)
-        fN, cN = solver._penalized(ind)
-        assert cN == pytest.approx(ind.c_raw + (3 * solver.c_max + 1) * eps)
-        assert fN == pytest.approx(ind.f_raw - (3 * solver.f_max + 1) * eps)
+        f_raw, c_raw = 3.0, 1.0 + 1.0 + eps
+        fN, cN = solver._penalized(f_raw, c_raw)
+        assert cN == pytest.approx(c_raw + (3 * solver.c_max + 1) * eps)
+        assert fN == pytest.approx(f_raw - (3 * solver.f_max + 1) * eps)
 
     def test_within_cap_unpenalized(self, g3_objective, card3):
         solver = self.make(g3_objective, card3, budget=1.0)
-        from dynsel.algorithms import _Individual
-
-        ind = _Individual(bits_of(3, [0, 1]), 3.0, 2.0)  # = B + delta
-        assert solver._penalized(ind) == (3.0, 2.0)
+        assert solver._penalized(3.0, 2.0) == (3.0, 2.0)  # cost = B + delta
 
     def test_population_size_constant(self, g3_objective, card3):
         solver = self.make(g3_objective, card3)
         for _ in range(5):
             solver.generation()
             assert len(solver.parents) == solver.pop_size
+            assert solver.parents.shape == (solver.pop_size, 3)
+            for values in (solver.f_raw, solver.c_raw, solver.rank,
+                           solver.crowding, solver.is_seed):
+                assert len(values) == solver.pop_size
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seed_copies_share_rank_and_crowding(self, seed):
+        """The constructor's pop_size seed copies are one individual: every
+        surviving copy has one rank and one crowding distance."""
+        n = 10
+        f = CoverageInstance(
+            gen_random_digraph(n, 0.2, substream(seed, "ns-seed"))).objective
+        c = random_linear_cost(n, substream(seed, "ns-seed-c"))
+        solver = Nsga2(f, c, 1.0, substream(seed, "ns-seed-run"),
+                       delta_cap=0.5)
+        for generation in range(4):
+            solver.generation()
+            copies = [i for i, s in enumerate(solver.is_seed) if s]
+            assert all(solver.parents[i].sum() == 0 for i in copies)
+            assert len({(solver.rank[i], solver.crowding[i])
+                        for i in copies}) <= 1
+            if generation == 0:
+                assert len(copies) >= 2  # the first generation keeps copies
 
     def test_elitism_best_feasible_non_decreasing(self):
         n = 10
@@ -584,44 +706,48 @@ class TestNsga2:
     def test_offspring_follow_the_scalar_operators(self, count):
         """Every child rebuilt from the same draws by the scalar rules:
         binary tournaments by rank, then crowding, ties to the first pick;
-        uniform crossover at rate 0.9, else a copy of p1; bit flips at 1/n."""
+        uniform crossover at rate 0.9, else a copy of p1; bit flips at 1/n.
+        The draws are taken here as three `random` calls, the stream of
+        `_make_offspring`'s one."""
         n = 12
         f = CoverageInstance(gen_random_digraph(n, 0.2, substream(7, "ns"))).objective
         solver = Nsga2(f, random_linear_cost(n, substream(8, "ns")), 1.5,
                        substream(9, "ns"), delta_cap=0.5)
         solver.run(60)
         # ranks 0-2 and crowdings with ties, +inf among them
-        parents = [_Individual(ind.bits, ind.f_raw, ind.c_raw)
-                   for ind in solver.parents]
-        for i, ind in enumerate(parents):
-            ind.rank, ind.crowding = i % 3, (math.inf if i % 4 == 0 else i % 5)
-        solver.parents = parents
+        solver.rank = [i % 3 for i in range(solver.pop_size)]
+        solver.crowding = [math.inf if i % 4 == 0 else i % 5
+                           for i in range(solver.pop_size)]
+        parents = solver.parents.copy()
         rng = copy.deepcopy(solver.rng)
         base = solver.counter.count
-        children = solver._make_offspring(count)
+        children, child_f, child_c = solver._make_offspring(count)
         assert solver.counter.count - base == count
         picks = rng.integers(solver.pop_size, size=(count, 4))
         coins = rng.random(count)
         takes = rng.random((count, n)) < 0.5
         flips = rng.random((count, n)) < 1.0 / n
+        assert rng.random() == solver.rng.random()
 
         def tournament(i, j):
-            pa, pb = parents[i], parents[j]
-            if pa.rank != pb.rank:
-                return pa if pa.rank < pb.rank else pb
-            return pa if pa.crowding >= pb.crowding else pb
+            ri, rj = solver.rank[i], solver.rank[j]
+            if ri != rj:
+                return parents[i] if ri < rj else parents[j]
+            return (parents[i] if solver.crowding[i] >= solver.crowding[j]
+                    else parents[j])
 
+        assert len(children) == len(child_f) == len(child_c) == count
         for k, child in enumerate(children):
             p1 = tournament(picks[k, 0], picks[k, 1])
             p2 = tournament(picks[k, 2], picks[k, 3])
             if coins[k] < 0.9:
-                want = np.where(takes[k], p1.bits, p2.bits)
+                want = np.where(takes[k], p1, p2)
             else:
-                want = p1.bits.copy()
+                want = p1.copy()
             want ^= flips[k]
-            assert child.bits.tolist() == want.tolist()
-            assert (child.f_raw, child.c_raw) == (float(f(want)),
-                                                  float(solver.c(want)))
+            assert child.tolist() == want.tolist()
+            assert (child_f[k], child_c[k]) == (float(f(want)),
+                                                float(solver.c(want)))
 
     def test_whole_generations_draw_the_same_stream(self, g3_objective, card3):
         a = self.make(g3_objective, card3, seed=3)
@@ -629,8 +755,7 @@ class TestNsga2:
         a.run(60)
         for _ in range(3):
             b.generation()
-        assert [ind.bits.tolist() for ind in a.parents] == \
-               [ind.bits.tolist() for ind in b.parents]
+        assert a.parents.tolist() == b.parents.tolist()
         assert a.rng.random() == b.rng.random()
 
     def test_no_feasible_parent_falls_back_to_seed(self, g3_objective, card3):

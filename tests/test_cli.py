@@ -537,7 +537,9 @@ class TestErrors:
           "missing/exp.ini"), "No such file or directory"),
         (("generate", "ba", "--m", 0, "--out", "x.edges"), "m = 0"),
         (("run", "--config", "nowhere.ini"),
-         "config file not found: nowhere.ini")])
+         "config file not found: nowhere.ini"),
+        (("generate", "config", "--experiment", "maxcov-random", "--tau", -5,
+          "--out", "exp.ini"), "--tau must be non-negative, got -5")])
     def test_one_line_and_exit_code_2(self, tmp_path, monkeypatch, capsys,
                                       argv, message):
         monkeypatch.chdir(tmp_path)
@@ -570,6 +572,56 @@ class TestErrors:
             f"dynsel: error: {tmp_path / 'sched.txt'}: the schedule file has "
             f"no binit= line\n")
         assert not (tmp_path / "results").exists()
+
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("run", "seeds", "0", "[run] seeds must be an integer >= 1, got '0'"),
+        ("run", "seeds", "3,3", "[run] seeds lists 3 twice"),
+        ("run", "seeds", "1,x",
+         "[run] seeds must be a count or a list of integers, got '1,x'"),
+        ("run", "algorithms", "pomc,pomc",
+         "[run] algorithms lists 'pomc' twice"),
+        ("run", "warmup", "-5", "[run] warmup must be an integer >= 0, "
+                                "got '-5'"),
+        ("schedule", "tau", "-5", "[schedule] tau must be an integer >= 0, "
+                                  "got '-5'")])
+    def test_bad_run_field_refused_before_anything_is_written(
+            self, tmp_path, capsys, section, key, value, message):
+        cfg = read_config(write_config(tmp_path, algorithms="gga,pomc"),
+                          **{section: {key: value}})
+        with open(tmp_path / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", tmp_path / "config.ini") == 2
+        assert capsys.readouterr().err == f"dynsel: error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
+    def test_negative_tau_in_schedule_file_refused(self, tmp_path, capsys):
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        sched = tmp_path / "sched.txt"
+        sched.write_text("binit=2\nbmin=1\nbmax=3\nr=1\ntau=-5\n1\n")
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = pomc,nsga2\n\n"
+                          "[schedule]\npath = sched.txt\n")
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {sched}: tau must be non-negative, got -5\n")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "1.5", "1", "nan"])
+    def test_alpha_outside_zero_one_refused(self, tmp_path, capsys,
+                                            monkeypatch, alpha):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        monkeypatch.setattr(cli, "brute_force_baseline", None)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--alpha", alpha) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynsel: error: --alpha must be in (0, 1)")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "results" / "report.csv").exists()
 
 
 def test_verify_theory_passes(capsys):

@@ -83,6 +83,15 @@ class TestSchedules:
             load_schedule(path)
         assert str(path) in str(err.value)
 
+    def test_negative_tau_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="tau must be non-negative"):
+            BudgetSchedule(2.0, 1.0, 3.0, [1.0], tau=-5, r=1.0)
+        path = tmp_path / "sched.txt"
+        path.write_text("binit=2.0\nbmin=1.0\nbmax=3.0\nr=1.0\ntau=-5\n1.0\n")
+        with pytest.raises(ValueError, match="tau must be non-negative") as err:
+            load_schedule(path)
+        assert str(path) in str(err.value)
+
     def test_schedule_file_bad_header_value_refused(self, tmp_path):
         path = tmp_path / "sched.txt"
         path.write_text("binit=1.0\nbmin=1.0\nbmax=3.0\nr=0.5\ntau=1.5\n")

@@ -47,6 +47,16 @@ def test_budget_walk_keeps_the_protocol(name, walk, seed):
             solver.check_invariants()
 
 
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_negative_evals_refused(name):
+    solver = make_solver(name, F, C, 2.0, substream(0, name))
+    solver.set_budget(2.0)
+    before = solver.counter.count
+    with pytest.raises(ValueError, match="evals must be non-negative"):
+        solver.run(-5)
+    assert solver.counter.count == before
+
+
 def test_phi_check_reads_any_solver():
     """The phi check takes an answer callable, so EAMC's answers are checked
     as POMC's are; whether they pass is not asserted."""
