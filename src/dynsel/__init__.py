@@ -1,6 +1,6 @@
 """dynsel: subset selection under dynamically changing cost constraints."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import EvalCounter, phi_ratio, substream
 from .algorithms import (AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc,

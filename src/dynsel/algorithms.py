@@ -425,11 +425,12 @@ def _mutation_draws(rng, evals, n):
 
 
 class Pomc(_Solver):
-    """Pareto optimization (GSEMO) over (f1, f2) with stale-vector semantics.
+    """Pareto optimization (GSEMO) over (f1, f2) = (f, -cost).
 
-    Objective vectors are stamped at creation and never recomputed, so budget
-    changes cost no evaluations: members created under an old bound simply
-    keep their stored vectors.
+    Vectors are stamped at creation and never recomputed, so budget changes
+    cost no evaluations.  The members, mutually non-dominated, are held in
+    cost order (`_bits`, `_f1`, `_cost`), a staircase along which cost and
+    f1 both strictly rise.
     """
 
     def __init__(self, f, c, budget, rng):
@@ -437,66 +438,64 @@ class Pomc(_Solver):
         self.rng = rng
         zeros = np.zeros(self.n, dtype=np.uint8)
         f1, cost = evaluate(f, c, zeros, self.counter, self.budget + 1)
-        self._bits = [zeros]
-        self._f1 = [f1]
-        self._f2 = [-cost]
+        self._bits, self._f1, self._cost = [zeros], [f1], [cost]
 
     def __len__(self):
         return len(self._bits)
 
+    @property
+    def _f2(self):
+        """The second objective, -cost, of each member in cost order."""
+        return [-cost for cost in self._cost]
+
     def _insert(self, child, f1, f2):
-        pf1, pf2 = self._f1, self._f2
-        for m1, m2 in zip(pf1, pf2):
-            if m1 >= f1 and m2 >= f2 and (m1 > f1 or m2 > f2):
-                return  # strictly dominated by an incumbent
-        keep = [i for i, (m1, m2) in enumerate(zip(pf1, pf2))
-                if not (f1 >= m1 and f2 >= m2)]
-        self._bits = [self._bits[i] for i in keep] + [child]
-        self._f1 = [pf1[i] for i in keep] + [f1]
-        self._f2 = [pf2[i] for i in keep] + [f2]
+        """Add `child` unless the last member with cost <= its own, the only
+        one that can, strictly dominates it (a -inf child fails against the
+        cost-0 member).  It replaces the members it weakly dominates: the run
+        from its cost on whose f1 is no higher than its own."""
+        values, costs = self._f1, self._cost
+        cost = -f2
+        i = bisect_right(costs, cost) - 1
+        if values[i] > f1 or (values[i] == f1 and costs[i] < cost):
+            return
+        lo = hi = bisect_left(costs, cost)
+        while hi < len(costs) and values[hi] <= f1:
+            hi += 1
+        self._bits[lo:hi] = [child]
+        values[lo:hi] = [f1]
+        costs[lo:hi] = [cost]
 
     def _run(self, evals: int) -> None:
-        """`evals` iterations, each a uniform parent, a per-bit flip at 1/n
-        (drawn by `_mutation_draws`) and one evaluation (f1 = -inf iff
-        cost > budget + 1).
-
-        A child whose mutation flips no bit equals its parent.  Its
-        evaluation is still counted and cut off at the current bound, but
-        answered from the parent's stored vector, and its insert needs no
-        archive walk.  f of a stored member is always finite (a cost-0
-        member dominates every -inf child), so a cut-off copy is strictly
-        dominated by its parent and rejected.  Otherwise the copy weakly
-        dominates its parent and, as members are mutually non-dominated
-        with distinct vectors, nothing else: the parent's entry moves to
-        the end, as `_insert` would leave it.
+        """`evals` iterations, each a uniform parent (member `int(u * len)`
+        in cost order), a per-bit flip at 1/n (drawn by `_mutation_draws`)
+        and one evaluation (f1 = -inf iff cost > budget + 1).  A child that
+        flips no bit equals its parent: it is counted and cut off, answered
+        from the parent's stored vector, and leaves the population as it is.
         """
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
+        bits, values, costs = self._bits, self._f1, self._cost
         insert = self._insert
         for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
-            bits, pf1, pf2 = self._bits, self._f1, self._f2
             k = int(u * len(bits))
             if flipped:
                 child = bits[k] ^ flips
                 f1, cost = evaluate(f, c, child, counter, cutoff)
                 insert(child, f1, -cost)
-            elif evaluate(f, c, bits[k], counter, cutoff,
-                          (pf1[k], -pf2[k]))[0] != NEG_INF:
-                bits.append(bits.pop(k))
-                pf1.append(pf1.pop(k))
-                pf2.append(pf2.pop(k))
+            else:
+                evaluate(f, c, bits[k], counter, cutoff, (values[k], costs[k]))
 
     def _stored(self):
-        return ((f1, -f2) for f1, f2 in zip(self._f1, self._f2))
+        return zip(self._f1, self._cost)
 
     def check_invariants(self) -> None:
-        """Debug hook: pairwise mutual non-dominance and no -inf member."""
-        vecs = list(zip(self._f1, self._f2))
-        for i, (a1, a2) in enumerate(vecs):
-            if a1 == NEG_INF:
-                raise AssertionError("population holds a -inf member")
-            for j, (b1, b2) in enumerate(vecs):
-                if i != j and a1 >= b1 and a2 >= b2:
-                    raise AssertionError("population holds a dominated member")
+        """Debug hook: cost and f1 strictly rise and no member is -inf,
+        which in cost order is pairwise non-dominance."""
+        values, costs = self._f1, self._cost
+        if NEG_INF in values:
+            raise AssertionError("population holds a -inf member")
+        for i in range(1, len(costs)):
+            if costs[i] <= costs[i - 1] or values[i] <= values[i - 1]:
+                raise AssertionError("population unsorted or dominated")
 
 
 # ---------------------------------------------------------------------------

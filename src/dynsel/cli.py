@@ -198,8 +198,9 @@ def _read_config(path) -> configparser.ConfigParser:
     return cfg
 
 
-def _config_int(section, key, default, minimum):
-    """`[section] key` as an integer >= `minimum`, `default` when absent."""
+def _config_int(section, key, default, minimum=None):
+    """`[section] key` as an integer (>= `minimum` when one is given),
+    `default` when absent."""
     raw = section.get(key)
     if not raw:
         return default
@@ -207,10 +208,34 @@ def _config_int(section, key, default, minimum):
         value = int(raw)
     except ValueError:
         value = None
-    if value is None or value < minimum:
-        raise ValueError(f"[{section.name}] {key} must be an integer >= "
-                         f"{minimum}, got {raw!r}")
+    if value is None or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"[{section.name}] {key} must be an integer{bound}, "
+                         f"got {raw!r}")
     return value
+
+
+def _config_float(section, key, default=None):
+    """`[section] key` as a finite float, `default` when absent."""
+    raw = section.get(key)
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"[{section.name}] {key} must be a finite number, "
+                         f"got {raw!r}")
+    return value
+
+
+def _instance_size(section, kind):
+    """`[instance] n`, which the generated instance kinds require."""
+    n = _config_int(section, "n", None, 1)
+    if n is None:
+        raise ValueError(f"[instance] n is required for kind = {kind}")
+    return n
 
 
 def _distinct(values, field):
@@ -267,14 +292,14 @@ def build_instance(cfg, base_dir: Path):
         if "variant" in cost_sec:
             raise ValueError("[cost] variant: kind = adversarial-knapsack "
                              "carries its own linear cost; set no variant")
-        inst = gen_adversarial_knapsack(inst_sec.getint("n"))
+        inst = gen_adversarial_knapsack(_instance_size(inst_sec, kind))
         return inst.objective, inst.cost, {}
 
     variant = cost_sec.get("variant", "cardinality")
     meta = {"cost_variant": variant}
     graph = None
     if kind == "bipartite-cover":
-        inst = gen_bipartite_cover(inst_sec.getint("n"))
+        inst = gen_bipartite_cover(_instance_size(inst_sec, kind))
         f = inst.objective
         n = inst.n
     elif kind in ("coverage", "influence"):
@@ -289,11 +314,11 @@ def build_instance(cfg, base_dir: Path):
                 routing = load_graph(base_dir / inst_sec.get("routing_graph"))
             influence = InfluenceInstance(
                 social_graph=graph,
-                simulations=inst_sec.getint("simulations", 500),
+                simulations=_config_int(inst_sec, "simulations", 500, 1),
                 routing_graph=routing,
-                per_node_cost=inst_sec.getfloat("per_node_cost", 0.1))
-            f = IcSpreadObjective(influence,
-                                  substream(inst_sec.getint("seed", 0), "ic"))
+                per_node_cost=_config_float(inst_sec, "per_node_cost", 0.1))
+            f = IcSpreadObjective(
+                influence, substream(_config_int(inst_sec, "seed", 0), "ic"))
             meta["influence"] = influence
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -318,14 +343,14 @@ def build_schedule(cfg, base_dir: Path, run_seed: int):
     if sched_sec.get("path"):
         sched = load_schedule(base_dir / sched_sec.get("path"))
         return sched if tau is None else dataclasses.replace(sched, tau=tau)
-    seed = sched_sec.getint("seed", 0) + run_seed
-    given = {param: sched_sec.getfloat(key) for key, param in SCHEDULE_KEYS.items()
-             if sched_sec.get(key)}
+    seed = _config_int(sched_sec, "seed", 0) + run_seed
+    given = {param: _config_float(sched_sec, key)
+             for key, param in SCHEDULE_KEYS.items() if sched_sec.get(key)}
     if sched_sec.get("integer_deltas"):
         given["integer_deltas"] = sched_sec.getboolean("integer_deltas")
     return preset_schedule(sched_sec.get("preset") or None,
                            substream(seed, "schedule"),
-                           count=sched_sec.getint("count", 200),
+                           count=_config_int(sched_sec, "count", 200, 1),
                            tau=1000 if tau is None else tau, seed=seed, **given)
 
 
@@ -361,7 +386,7 @@ def cmd_run(args) -> int:
     if warmup is not None:
         params["warmup_evals"] = warmup
     if cfg["schedule"].get("r"):
-        params["delta_cap"] = cfg["schedule"].getfloat("r")
+        params["delta_cap"] = _config_float(cfg["schedule"], "r")
     per_seed = {}  # seed -> (schedule, params as a serial loop had them)
     for seed in seeds:
         schedule = build_schedule(cfg, base_dir, seed)

@@ -309,6 +309,22 @@ class TestPomc:
             p.run(1)
             p.check_invariants()
 
+    @pytest.mark.parametrize("f1, cost", [
+        ([0.0, 3.0, 2.0], [0.0, 2.0, 1.0]),  # non-dominated, but unsorted
+        ([0.0, 3.0, 2.0], [0.0, 1.0, 2.0]),  # (2, 2) dominated by (3, 1)
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0]),  # (1, 1) dominated by (2, 1)
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),  # (1, 2) dominated by (1, 1)
+        ([0.0, 1.0, NEG_INF], [0.0, 1.0, 3.0]),  # a -inf member
+        ([NEG_INF], [0.0]),
+    ])
+    def test_invariants_refuse_a_broken_staircase(self, g3_objective, card3,
+                                                  f1, cost):
+        p = self.make(g3_objective, card3)
+        p._bits = [np.zeros(3, dtype=np.uint8)] * len(f1)
+        p._f1, p._cost = f1, cost
+        with pytest.raises(AssertionError):
+            p.check_invariants()
+
 
 # ---------------------------------------------------------------------------
 # zero-flip offspring: counted, but answered from the parent's stored values
@@ -429,14 +445,21 @@ class TestZeroFlip:
         assert (f.calls - f0, c.calls - c0) == (0, 0)
 
     def test_pomc_zero_flip_child_replaces_its_parent(self):
+        """The copy takes its parent's place in cost order, so the
+        population is left exactly as it was."""
         p, f, c = self.front_pomc()
         p.set_budget(1.0)  # cost 2 is still within B + 1
         i = p._f2.index(-2.0)
         p.rng = ScriptedRng((i + 0.5) / len(p))
-        before = list(zip(p._f1, p._f2))
+
+        def state():
+            return [(b.tobytes(), f1, f2)
+                    for b, f1, f2 in zip(p._bits, p._f1, p._f2)]
+
+        before = state()
         base, f0, c0 = p.counter.count, f.calls, c.calls
         p.run(1)
-        assert list(zip(p._f1, p._f2)) == before[:i] + before[i + 1:] + [before[i]]
+        assert state() == before
         assert p.counter.count - base == 1
         assert (f.calls - f0, c.calls - c0) == (0, 0)
 

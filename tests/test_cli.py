@@ -595,6 +595,40 @@ class TestErrors:
         assert capsys.readouterr().err == f"dynsel: error: {message}\n"
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("sections, message", [
+        ({"schedule": {"count": "x"}},
+         "[schedule] count must be an integer >= 1, got 'x'"),
+        ({"schedule": {"seed": "1.5"}},
+         "[schedule] seed must be an integer, got '1.5'"),
+        ({"schedule": {"binit": "two"}},
+         "[schedule] binit must be a finite number, got 'two'"),
+        ({"schedule": {"bmin": "nan"}},
+         "[schedule] bmin must be a finite number, got 'nan'"),
+        ({"schedule": {"bmax": "three"}},
+         "[schedule] bmax must be a finite number, got 'three'"),
+        ({"schedule": {"r": "1,5"}},
+         "[schedule] r must be a finite number, got '1,5'"),
+        ({"instance": {"kind": "adversarial-knapsack", "n": "x"},
+          "cost": {"variant": None}},
+         "[instance] n must be an integer >= 1, got 'x'"),
+        ({"instance": {"kind": "bipartite-cover"}},
+         "[instance] n is required for kind = bipartite-cover"),
+        ({"instance": {"kind": "influence", "simulations": "0"}},
+         "[instance] simulations must be an integer >= 1, got '0'"),
+        ({"instance": {"kind": "influence", "seed": "s"}},
+         "[instance] seed must be an integer, got 's'"),
+        ({"instance": {"kind": "influence", "per_node_cost": "inf"}},
+         "[instance] per_node_cost must be a finite number, got 'inf'")])
+    def test_bad_number_names_its_field_before_anything_is_written(
+            self, tmp_path, capsys, sections, message):
+        cfg = read_config(write_config(tmp_path, algorithms="gga,pomc"),
+                          **sections)
+        with open(tmp_path / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", tmp_path / "config.ini") == 2
+        assert capsys.readouterr().err == f"dynsel: error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
     def test_negative_tau_in_schedule_file_refused(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
         sched = tmp_path / "sched.txt"

@@ -9,21 +9,26 @@ size, so partial generations are covered too.
 Version 0.2.0 re-drew two streams on purpose: EAMC takes its draws in POMC's
 block layout and NSGA-II takes its draws once per generation, so the six
 eamc and nsga2 entries were regenerated with `golden_records`; their
-evaluation counts did not change.  Every other entry, and so every other
-stream, is still pinned as before.
+evaluation counts did not change.  Version 0.3.0 holds POMC's population in
+cost order, so a parent draw picks another member than in insertion order:
+the six pomc and pomc-wp entries were regenerated the same way, again with
+unchanged evaluation counts.  Every other entry, and so every other stream,
+is still pinned as before.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsel.algorithms import Pomc, _greedy_extend, evaluate
 from dynsel.core import NEG_INF, POS_INF, EvalCounter, substream
 from dynsel.dynamics import ALL_ALGORITHMS, BudgetSchedule, run_dynamic
-from dynsel.problems import (CoverageInstance, IcSpreadObjective,
-                             InfluenceInstance, RoutingCost, gen_er_graph,
-                             gen_random_digraph, outdegree_cost,
+from dynsel.problems import (CardinalityCost, CoverageInstance,
+                             IcSpreadObjective, InfluenceInstance, RoutingCost,
+                             gen_er_graph, gen_random_digraph, outdegree_cost,
                              random_linear_cost)
 
 RUN_SEED = 7
@@ -94,8 +99,8 @@ GOLDEN = {
         (9.0, 18.0, 9.0, 1330),
     ],
     ('coverage-outdegree', 'pomc'): [
-        (8.0, 16.0, 8.0, 37),
-        (11.0, 18.0, 10.0, 74),
+        (8.0, 14.0, 8.0, 37),
+        (11.0, 17.0, 9.0, 74),
         (7.0, 14.0, 7.0, 111),
         (9.0, 17.0, 9.0, 148),
         (4.0, 10.0, 4.0, 185),
@@ -103,13 +108,13 @@ GOLDEN = {
         (9.0, 17.0, 9.0, 259),
     ],
     ('coverage-outdegree', 'pomc-wp'): [
-        (8.0, 15.0, 8.0, 37),
+        (8.0, 14.0, 6.0, 37),
         (11.0, 17.0, 10.0, 74),
         (7.0, 14.0, 6.0, 111),
         (9.0, 16.0, 9.0, 148),
-        (4.0, 10.0, 4.0, 185),
+        (4.0, 9.0, 4.0, 185),
         (8.0, 16.0, 8.0, 222),
-        (9.0, 17.0, 9.0, 259),
+        (9.0, 18.0, 9.0, 259),
     ],
     ('coverage-outdegree', 'eamc'): [
         (8.0, 16.0, 8.0, 37),
@@ -146,20 +151,20 @@ GOLDEN = {
         (1.2, 15.0, 1.1085832956361594, 456),
     ],
     ('coverage-random-linear', 'pomc'): [
-        (1.0, 13.0, 0.8573690080863146, 23),
-        (1.3, 14.0, 0.9198539462406712, 46),
-        (0.8, 12.0, 0.4195804448903334, 69),
-        (1.0, 14.0, 0.9198539462406712, 92),
-        (0.6, 13.0, 0.5559441339133286, 115),
-        (1.2, 14.0, 0.9198539462406712, 138),
+        (1.0, 13.0, 0.8812481591206681, 23),
+        (1.3, 14.0, 0.9437330972750247, 46),
+        (0.8, 13.0, 0.5197077420367945, 69),
+        (1.0, 14.0, 0.9437330972750247, 92),
+        (0.6, 13.0, 0.5197077420367945, 115),
+        (1.2, 14.0, 0.9437330972750247, 138),
     ],
     ('coverage-random-linear', 'pomc-wp'): [
-        (1.0, 13.0, 0.8834765449676238, 23),
-        (1.3, 14.0, 0.883617554364137, 46),
-        (0.8, 12.0, 0.6809839876143846, 69),
-        (1.0, 14.0, 0.883617554364137, 92),
-        (0.6, 10.0, 0.32050711867407355, 115),
-        (1.2, 14.0, 0.883617554364137, 138),
+        (1.0, 14.0, 0.9704097563710024, 23),
+        (1.3, 15.0, 1.230344228623998, 46),
+        (0.8, 14.0, 0.744673483308817, 69),
+        (1.0, 14.0, 0.744673483308817, 92),
+        (0.6, 13.0, 0.32064812807058674, 115),
+        (1.2, 14.0, 0.6845579403979293, 138),
     ],
     ('coverage-random-linear', 'eamc'): [
         (1.0, 14.0, 0.8828974299158204, 23),
@@ -196,21 +201,21 @@ GOLDEN = {
         (2.7, 12.3, 2.6830895851892986, 543),
     ],
     ('influence-routing', 'pomc'): [
-        (2.5, 11.1, 2.260257180332304, 29),
-        (3.0, 12.4, 2.9295553817245956, 58),
+        (2.5, 10.95, 2.316441095339338, 29),
+        (3.0, 12.05, 2.9479100882244778, 58),
         (2.2, 10.3, 2.12102153343937, 87),
-        (2.6, 11.1, 2.260257180332304, 116),
-        (1.7000000000000002, 9.4, 1.6844514614614357, 145),
-        (2.4000000000000004, 11.1, 2.260257180332304, 174),
-        (2.7, 11.9, 2.583089585189299, 203),
+        (2.6, 11.7, 2.536697363679078, 116),
+        (1.7000000000000002, 9.25, 1.6673991622867872, 145),
+        (2.4000000000000004, 11.15, 2.290959620277923, 174),
+        (2.7, 11.7, 2.536697363679078, 203),
     ],
     ('influence-routing', 'pomc-wp'): [
-        (2.5, 11.7, 2.305532186315048, 29),
+        (2.5, 11.4, 2.269736629947876, 29),
         (3.0, 12.2, 2.7083736044184104, 58),
-        (2.2, 10.35, 2.1697366299478755, 87),
+        (2.2, 11.2, 2.131261902382912, 87),
         (2.6, 12.0, 2.5698988768534456, 116),
         (1.7000000000000002, 10.3, 1.6692423781983687, 145),
-        (2.4000000000000004, 11.7, 2.305532186315048, 174),
+        (2.4000000000000004, 11.4, 2.269736629947876, 174),
         (2.7, 12.0, 2.5698988768534456, 203),
     ],
     ('influence-routing', 'eamc'): [
@@ -297,12 +302,15 @@ def test_greedy_extend_matches_naive_rescan(seed):
 
 
 # ---------------------------------------------------------------------------
-# POMC's zero-flip shortcut against the two-walk insert of every child
+# POMC's cost-ordered population against the walks over the whole population
 
 
 def two_walk_run(pomc, evals):
-    """`Pomc.run` with every child, zero-flip copies included, evaluated
-    and inserted through `_insert` (the dominance walk, then the keep walk)."""
+    """`Pomc.run` as the reference: every child, zero-flip copies included,
+    is evaluated without a shortcut, refused when a member strictly
+    dominates it (the dominance walk), added after dropping the members it
+    weakly dominates (the keep walk), and the population is sorted by cost
+    again.  Parent k is drawn from that cost-ordered population."""
     n = pomc.n
     cutoff = pomc.budget + 1
     done = 0
@@ -311,15 +319,24 @@ def two_walk_run(pomc, evals):
         sel = pomc.rng.random(chunk).tolist()
         flips = pomc.rng.random((chunk, n)) < 1.0 / n
         for j in range(chunk):
-            k = int(sel[j] * len(pomc))
-            child = pomc._bits[k] ^ flips[j]
+            members = list(zip(pomc._bits, pomc._f1, pomc._cost))
+            k = int(sel[j] * len(members))
+            child = members[k][0] ^ flips[j]
             f1, cost = evaluate(pomc.f, pomc.c, child, pomc.counter, cutoff)
-            pomc._insert(child, f1, -cost)
+            if any(m1 >= f1 and mc <= cost and (m1 > f1 or mc < cost)
+                   for _b, m1, mc in members):
+                continue
+            members = [m for m in members if not (f1 >= m[1] and cost <= m[2])]
+            members.append((child, f1, cost))
+            members.sort(key=lambda m: m[2])
+            pomc._bits[:] = [m[0] for m in members]
+            pomc._f1[:] = [m[1] for m in members]
+            pomc._cost[:] = [m[2] for m in members]
         done += chunk
 
 
 def archive(pomc):
-    return ([b.tolist() for b in pomc._bits], pomc._f1, pomc._f2)
+    return ([b.tolist() for b in pomc._bits], pomc._f1, pomc._cost)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -335,6 +352,43 @@ def test_pomc_archive_matches_two_walk_insert(seed):
         two_walk_run(want, 300)
         assert archive(got) == archive(want)
         assert got.counter.count == want.counter.count
+
+
+COSTS = {
+    "cardinality": lambda g, rng: CardinalityCost(g.n),
+    "random-linear": lambda g, rng: random_linear_cost(g.n, rng),
+    "outdegree": lambda g, rng: outdegree_cost(g, q=int(rng.integers(0, 3))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 16), cost=st.sampled_from(sorted(COSTS)),
+       seed=st.integers(0, 2**16),
+       walk=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 120)),
+                     min_size=1, max_size=6))
+def test_pomc_population_matches_two_walk_insert(n, cost, seed, walk):
+    """Budgets given as shares of c(V) rise and fall, so members go stale
+    and zero-flip copies of them are cut off.  After every run the
+    population equals the reference's, and at every budget of a grid over
+    [0, c(V)] the answer is the best member that fits."""
+    rng = substream(seed, "golden", "population")
+    g = gen_random_digraph(n, float(rng.uniform(0.1, 0.5)), rng)
+    f, c = CoverageInstance(g).objective, COSTS[cost](g, rng)
+    total = float(c(np.ones(n, dtype=np.uint8)))
+    got = Pomc(f, c, walk[0][0] * total, substream(seed, "golden", "pomc"))
+    want = Pomc(f, c, walk[0][0] * total, substream(seed, "golden", "pomc"))
+    grid = [total * i / 32 for i in range(33)]
+    for share, evals in walk:
+        got.set_budget(share * total)
+        want.set_budget(share * total)
+        got.run(evals)
+        two_walk_run(want, evals)
+        assert archive(got) == archive(want)
+        assert got.counter.count == want.counter.count
+        got.check_invariants()
+        for b in grid + got._cost:
+            best = max(f1 for f1, mc in zip(got._f1, got._cost) if mc <= b)
+            assert got.answer_value(b)[0] == best
 
 
 def _pomc_at_100(budget):
