@@ -9,8 +9,7 @@ from .algorithms import (AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc,
 from .dynamics import (BudgetSchedule, RunRecord, gen_schedule, load_schedule,
                        preset_schedule, run_dynamic, save_schedule)
 from .analysis import (bonferroni_posthoc, check_phi_approx, kruskal_wallis,
-                       offline_errors, partial_offline_error,
-                       submodularity_ratio)
+                       offline_errors, partial_offline_error)
 
 __all__ = [
     "AdaptiveGreedy", "BudgetSchedule", "Eamc", "EvalCounter", "Gga", "Nsga2",
@@ -18,5 +17,5 @@ __all__ = [
     "brute_force_opt", "check_phi_approx", "gen_schedule", "gga",
     "knapsack_opt_value", "kruskal_wallis", "load_schedule", "offline_errors",
     "partial_offline_error", "phi_ratio", "preset_schedule", "run_dynamic",
-    "save_schedule", "submodularity_ratio", "substream",
+    "save_schedule", "substream",
 ]

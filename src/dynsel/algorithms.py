@@ -10,9 +10,10 @@ Greedy (GGA, `Gga`) and its adaptive variant (AdGGA) draw no random numbers
 and do their whole work in `set_budget`: every evaluation of their scans is
 counted, also one read from an earlier scan, but none is charged against
 `run`, which does nothing, and their answer holds for the current bound
-only.  POMC, EAMC and NSGA-II are iterative: every one of their evaluations
-goes through `evaluate`, the single place that counts and applies the
-infeasibility cutoff.
+only.  POMC, EAMC and NSGA-II are iterative: every f and c call they make,
+NSGA-II's f(V) and c(V) included, is one evaluation through `evaluate`, the
+single place that counts and applies the infeasibility cutoff.  A child
+that flips no bit is counted without calling f or c.
 """
 
 from __future__ import annotations
@@ -36,18 +37,13 @@ class NoFeasibleMemberError(RuntimeError):
 BRUTE_FORCE_CAP = 24
 
 
-def evaluate(f, c, bits, counter, cutoff, known=None):
+def evaluate(f, c, bits, counter, cutoff):
     """One counted evaluation: c first, then f only when cost <= cutoff.
 
     Returns (f or NEG_INF, cost).  The cutoff is B + 1 for POMC's
-    bi-objective reformulation, B for EAMC and +inf for NSGA-II.  `known`
-    is the stored (f, cost) of a vector equal to `bits`: the evaluation is
-    still counted and cut off, but answered without calling f or c.
+    bi-objective reformulation, B for EAMC and +inf for NSGA-II.
     """
     counter.increment()
-    if known is not None:
-        fval, cost = known
-        return (NEG_INF if cost > cutoff else fval), cost
     cost = float(c(bits))
     if cost > cutoff:
         return NEG_INF, cost
@@ -125,6 +121,14 @@ def knapsack_opt_value(instance, budget) -> float:
 # the solver protocol
 
 
+def _bound(budget) -> float:
+    """`budget` as a float; a negative bound is refused with a ValueError."""
+    b = float(budget)
+    if not b >= 0:
+        raise ValueError(f"budget must be non-negative, got {budget!r}")
+    return b
+
+
 class _Solver:
     """State and answer rule every solver shares.
 
@@ -132,19 +136,20 @@ class _Solver:
     counts its own evaluations on.  Each subclass lists its stored (f, cost)
     pairs in `_stored()`, in the order ties go; `answer_value` reads the
     answer from them.  `run` checks the count and leaves the work to the
-    subclass's `_run`.
+    subclass's `_run`.  The constructor and every `set_budget` refuse a
+    negative bound (`_bound`).
     """
 
     def __init__(self, f, c, budget):
         self.f = f
         self.c = c
         self.n = f.n
-        self.budget = float(budget)
+        self.budget = _bound(budget)
         self.counter = EvalCounter()
 
     def set_budget(self, budget) -> None:
         """Dynamic change; stored values are left as they are."""
-        self.budget = float(budget)
+        self.budget = _bound(budget)
 
     def run(self, evals: int) -> None:
         """Spend exactly `evals` evaluations in `_run`; a negative count is
@@ -325,7 +330,7 @@ class Gga(_Greedy):
         self._memo = ScanMemo()
 
     def set_budget(self, budget) -> None:
-        self.budget = float(budget)
+        self.budget = _bound(budget)
         self._memo.next_change()
         self._answer = gga(self.f, self.c, self.budget, self.counter,
                            self._memo)[1:]
@@ -355,30 +360,25 @@ class AdaptiveGreedy(_Greedy):
         x = self.x
         fx, cx = self._value
         self.counter.increment()  # x itself, answered from its stored value
-        while cx > new_budget:
+        while cx > new_budget:  # c(empty) = 0 fits any bound >= 0
             selected = np.flatnonzero(x)
-            best_i, best_ratio = 0, POS_INF
-            best_fv = best_cv = None
-            for i, v in enumerate(selected):
+            scan = []
+            for v in selected:
                 x[v] = 0
-                cv = float(self.c(x))
-                self.counter.increment()
-                fv = float(self.f(x))
+                scan.append(_fc(self.f, self.c, x))
                 x[v] = 1
-                dc = cx - cv
-                loss = fx - fv
-                ratio = (POS_INF if loss > 0 else 0.0) if dc == 0 else loss / dc
-                if best_fv is None or ratio < best_ratio:  # ties: lowest index wins
-                    best_i, best_ratio = i, ratio
-                    best_fv, best_cv = fv, cv
-            if best_fv is None:  # selection already empty, nothing to strip
-                break
+            self.counter.increment(len(scan))
+            ratios = []
+            for fv, cv in scan:
+                dc, loss = cx - cv, fx - fv
+                ratios.append((POS_INF if loss > 0 else 0.0) if dc == 0 else loss / dc)
+            best_i = ratios.index(min(ratios))  # ties: lowest index wins
             x[selected[best_i]] = 0
-            fx, cx = best_fv, best_cv
+            fx, cx = scan[best_i]
         return fx, cx
 
     def set_budget(self, budget) -> None:
-        budget = float(budget)
+        budget = _bound(budget)
         f, c, counter = self.f, self.c, self.counter
         if self.x is None:
             self.x, fx, cx, self._singletons = _greedy_extend(
@@ -469,20 +469,19 @@ class Pomc(_Solver):
         """`evals` iterations, each a uniform parent (member `int(u * len)`
         in cost order), a per-bit flip at 1/n (drawn by `_mutation_draws`)
         and one evaluation (f1 = -inf iff cost > budget + 1).  A child that
-        flips no bit equals its parent: it is counted and cut off, answered
-        from the parent's stored vector, and leaves the population as it is.
+        flips no bit equals its parent, so it could only take its parent's
+        place: it is counted, f and c are not called, and the population is
+        left as it is.
         """
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
-        bits, values, costs = self._bits, self._f1, self._cost
-        insert = self._insert
+        bits, insert = self._bits, self._insert
         for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
-            k = int(u * len(bits))
             if flipped:
-                child = bits[k] ^ flips
+                child = bits[int(u * len(bits))] ^ flips
                 f1, cost = evaluate(f, c, child, counter, cutoff)
                 insert(child, f1, -cost)
             else:
-                evaluate(f, c, bits[k], counter, cutoff, (values[k], costs[k]))
+                counter.increment()
 
     def _stored(self):
         return zip(self._f1, self._cost)
@@ -567,23 +566,25 @@ class Eamc(_Solver):
     def _run(self, evals: int) -> None:
         """`evals` offspring, each a uniform member mutated per bit at 1/n
         (the draws of `_mutation_draws`, as in `Pomc._run`) and evaluated
-        with the cutoff at the budget; a zero-flip child is answered from
-        its parent's stored (f, cost)."""
+        with the cutoff at the budget.  A zero-flip child is counted and
+        offered with its parent's stored (f, cost), without calling f or c:
+        after a change re-ranks g, a copy of a bin's V can replace its U."""
         f, c, counter, budget = self.f, self.c, self.counter, self.budget
         for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
             members = self._members
-            parent, pf, pcost = members[int(u * len(members))]
+            parent, fval, cost = members[int(u * len(members))]
             if flipped:
-                child, known = parent ^ flips, None
+                child = parent ^ flips
+                fval, cost = evaluate(f, c, child, counter, budget)
             else:
-                child, known = parent, (pf, pcost)
-            fval, cost = evaluate(f, c, child, counter, budget, known)
+                child = parent
+                counter.increment()
             if cost <= budget:
                 self._insert(child, fval, cost)
 
     def set_budget(self, budget) -> None:
         """Remove every member with cost above the new bound; keep bin(0)."""
-        self.budget = float(budget)
+        self.budget = _bound(budget)
         for size, slot in list(self.bins.items()):
             kept = [m for m in slot if m[2] <= self.budget]
             if kept:  # a lone survivor fills both slots
@@ -689,10 +690,11 @@ class Nsga2(_Solver):
     Solutions with cost up to budget + delta_cap are kept unpenalized to
     prepare for upcoming changes; beyond that, both objectives are pushed
     into the dominated region proportionally to the violation, scaled by
-    f_max = f(V) and c_max = c(V).  Once per
-    sort, the best feasible member's crowding distance is set to +inf so it
-    survives truncation.  Penalties are derived from stored raw values, so
-    a budget change costs no evaluations.
+    f_max = f(V) and c_max = c(V), one counted evaluation in the
+    constructor.  Once per sort, the best feasible member's crowding
+    distance is set to +inf so it survives truncation.  Penalties are
+    derived from stored raw values, so a budget change costs no
+    evaluations.
 
     The parents are the rows of the `(pop_size, n)` uint8 matrix `parents`
     with their raw f, raw cost, rank and crowding distance in the lists
@@ -709,9 +711,8 @@ class Nsga2(_Solver):
         super().__init__(f, c, budget)
         self.delta_cap = float(delta_cap)
         self.rng = rng
-        full = np.ones(self.n, dtype=np.uint8)
-        self.f_max = float(f(full))
-        self.c_max = float(c(full))
+        self.f_max, self.c_max = evaluate(
+            f, c, np.ones(self.n, dtype=np.uint8), self.counter, POS_INF)
         self.parents = np.zeros((self.pop_size, self.n), dtype=np.uint8)
         self.seed_value = evaluate(f, c, self.parents[0], self.counter, POS_INF)
         self.f_raw = [self.seed_value[0]] * self.pop_size

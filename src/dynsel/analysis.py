@@ -1,6 +1,5 @@
 """Offline-error computation, the two nonparametric tests the protocol
-needs, and theory-verification oracles (submodularity ratio and the
-phi-approximation check).
+needs, and the theory-verification oracle (the phi-approximation check).
 
 The tests' p-values are computed in closed form: the chi-square survival
 function for the integer degrees of freedom Kruskal-Wallis uses, and the
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Pomc, all_subsets, brute_force_front
+from .algorithms import Pomc, brute_force_front
 from .core import NEG_INF, fork_map, phi_ratio, substream, worker_count
 
 
@@ -220,40 +219,7 @@ def format_marks(marks, index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# theory oracles
-
-
-SUBMOD_CAP = 10
-
-
-def submodularity_ratio(f, n=None) -> float:
-    """Exact min over X subset Y, v not in Y of the nested marginal-gain
-    ratio, clamped to [0, 1].  Exhaustive; n <= 10."""
-    n = f.n if n is None else n
-    if n > SUBMOD_CAP:
-        raise ValueError(f"n = {n} exceeds exhaustive cap {SUBMOD_CAP}")
-    vals = np.array([f(bits) for bits in all_subsets(n)], dtype=float)
-    best = None
-    for y in range(1 << n):
-        for v in range(n):
-            bit = 1 << v
-            if y & bit:
-                continue
-            denom = vals[y | bit] - vals[y]
-            if denom <= 0:
-                continue  # zero/zero skipped; positive/zero is unbounded above
-            sub = y
-            while True:
-                num = vals[sub | bit] - vals[sub]
-                ratio = num / denom
-                if best is None or ratio < best:
-                    best = ratio
-                if sub == 0:
-                    break
-                sub = (sub - 1) & y
-    if best is None:
-        return 1.0  # no informative pair (constant f)
-    return float(min(max(best, 0.0), 1.0))
+# the phi-approximation check
 
 
 @dataclass

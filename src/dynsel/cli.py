@@ -260,12 +260,21 @@ def _jobs(raw) -> int:
 
 
 def load_costs_file(path) -> np.ndarray:
+    """Per-node weights, one a line, `#` lines being comments; a weight that
+    is not a finite number >= 0 is refused by file and line."""
     costs = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if line and not line.startswith("#"):
-                costs.append(float(line))
+                try:
+                    weight = float(line)
+                except ValueError:
+                    weight = math.nan
+                if not 0.0 <= weight < math.inf:
+                    raise ValueError(f"{path}: line {lineno}: cost {line!r} "
+                                     f"is not a finite number >= 0")
+                costs.append(weight)
     return np.asarray(costs)
 
 

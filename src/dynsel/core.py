@@ -54,8 +54,8 @@ class CostFn:
 class EvalCounter:
     """Counts objective evaluations, the unit of the experimental budget.
 
-    Every counted evaluation increments once, also one answered from stored
-    values (a zero-flip offspring, a reused greedy scan) without calling f.
+    Every counted evaluation increments once, also one that calls neither
+    f nor c (a zero-flip offspring, a reused greedy scan).
     """
 
     def __init__(self):

@@ -23,10 +23,12 @@ from .core import POS_INF, CostFn, ObjectiveFn
 
 
 class GraphParseError(ValueError):
-    def __init__(self, message, lineno=None):
+    """A graph file refused as `path: line k: message` (or `path: message`)."""
+
+    def __init__(self, path, message, lineno=None):
         self.lineno = lineno
-        where = f" (line {lineno})" if lineno is not None else ""
-        super().__init__(f"{message}{where}")
+        where = f": line {lineno}" if lineno is not None else ""
+        super().__init__(f"{path}{where}: {message}")
 
 
 class DisconnectedSelectionError(ValueError):
@@ -496,6 +498,26 @@ def gen_random_digraph(n: int, p: float, rng, edge_prob: float = 0.1) -> Directe
 # file I/O
 
 
+def _number(kind, text, what):
+    """`text` as `kind` (int or float); a ValueError names it as `what`."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} {text!r} is not {noun}") from None
+
+
+def _endpoints(texts, n, first):
+    """The endpoints written as `texts`, numbered from `first`, as 0-based
+    node indices below the declared node count n."""
+    ends = [_number(int, text, "endpoint") - first for text in texts]
+    for node in ends:
+        if not 0 <= node < n:
+            raise ValueError(f"endpoint {node + first} outside the nodes "
+                             f"{first}-{n - 1 + first}")
+    return ends
+
+
 def load_dimacs(path) -> DirectedGraph:
     """DIMACS clique format: `p edge n m` header, `e u v` lines, 1-indexed.
 
@@ -509,25 +531,26 @@ def load_dimacs(path) -> DirectedGraph:
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise GraphParseError("malformed problem line", lineno)
-                n, m = int(parts[2]), int(parts[3])
-            elif parts[0] == "e":
-                if len(parts) != 3:
-                    raise GraphParseError("edge line needs two endpoints", lineno)
-                if n is None:
-                    raise GraphParseError("edge before problem line", lineno)
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphParseError("endpoint outside declared node count", lineno)
-                edges.append((u, v))
-            else:
-                raise GraphParseError(f"unknown record {parts[0]!r}", lineno)
+            try:
+                if parts[0] == "p":
+                    if len(parts) != 4 or parts[1] != "edge":
+                        raise ValueError("malformed problem line")
+                    n = _number(int, parts[2], "node count")
+                    m = _number(int, parts[3], "edge count")
+                elif parts[0] == "e":
+                    if len(parts) != 3:
+                        raise ValueError("edge line needs two endpoints")
+                    if n is None:
+                        raise ValueError("edge before problem line")
+                    edges.append(_endpoints(parts[1:], n, 1))
+                else:
+                    raise ValueError(f"unknown record {parts[0]!r}")
+            except ValueError as exc:
+                raise GraphParseError(path, exc, lineno) from None
     if n is None:
-        raise GraphParseError("missing problem line")
+        raise GraphParseError(path, "missing problem line")
     if len(edges) != m:
-        raise GraphParseError(f"header declares {m} edges, found {len(edges)}")
+        raise GraphParseError(path, f"header declares {m} edges, found {len(edges)}")
     return DirectedGraph.from_edges(n, edges)
 
 
@@ -545,33 +568,34 @@ def load_edge_list(path) -> DirectedGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if header is None:
-            if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
-                raise GraphParseError("header must be `n m directed|undirected`", lineno)
-            header = (int(parts[0]), int(parts[1]), parts[2] == "directed")
-            continue
-        if parts[0] == "pos":
-            if len(parts) != 3:
-                raise GraphParseError("pos line needs x and y", lineno)
-            positions.append((float(parts[1]), float(parts[2])))
-            continue
-        if len(parts) < 2 or len(parts) > 4:
-            raise GraphParseError("edge line needs `u v [p] [w]`", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
-            p = float(parts[2]) if len(parts) > 2 else None
-            w = float(parts[3]) if len(parts) > 3 else None
-        except ValueError:
-            raise GraphParseError("malformed edge line", lineno) from None
-        edges.append((u, v, p, w))
+            if header is None:
+                if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
+                    raise ValueError("header must be `n m directed|undirected`")
+                header = (_number(int, parts[0], "node count"),
+                          _number(int, parts[1], "edge count"), parts[2] == "directed")
+            elif parts[0] == "pos":
+                if len(parts) != 3:
+                    raise ValueError("pos line needs x and y")
+                positions.append([_number(float, x, "position") for x in parts[1:]])
+            elif not 2 <= len(parts) <= 4:
+                raise ValueError("edge line needs `u v [p] [w]`")
+            else:
+                p = _number(float, parts[2], "probability") if len(parts) > 2 else None
+                if p is not None and not 0.0 <= p <= 1.0:
+                    raise ValueError(f"edge probability {p!r} outside [0, 1]")
+                w = _number(float, parts[3], "weight") if len(parts) > 3 else None
+                edges.append((*_endpoints(parts[:2], header[0], 0), p, w))
+        except ValueError as exc:
+            raise GraphParseError(path, exc, lineno) from None
     if header is None:
-        raise GraphParseError("missing header line")
+        raise GraphParseError(path, "missing header line")
     n, m, directed = header
     if len(edges) != m:
-        raise GraphParseError(f"header declares {m} edges, found {len(edges)}")
+        raise GraphParseError(path, f"header declares {m} edges, found {len(edges)}")
     pos = np.asarray(positions) if positions else None
     if pos is not None and len(pos) != n:
-        raise GraphParseError(f"expected {n} pos lines, found {len(pos)}")
+        raise GraphParseError(path, f"expected {n} pos lines, found {len(pos)}")
     return DirectedGraph.from_edges(n, edges, positions=pos, directed=directed)
 
 

@@ -35,6 +35,19 @@ def knapsack4():
     return gen_adversarial_knapsack(4)
 
 
+class Calls:
+    """Wraps f or c and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.n = fn.n
+        self.calls = 0
+
+    def __call__(self, bits):
+        self.calls += 1
+        return self.fn(bits)
+
+
 def bits_of(n, indices):
     out = np.zeros(n, dtype=np.uint8)
     out[list(indices)] = 1

@@ -16,7 +16,7 @@ from dynsel.problems import (CardinalityCost, CoverageInstance, LinearCost,
                              gen_bipartite_cover, gen_random_digraph,
                              random_linear_cost)
 
-from conftest import bits_of
+from conftest import Calls, bits_of
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +327,12 @@ class TestPomc:
 
 
 # ---------------------------------------------------------------------------
-# zero-flip offspring: counted, but answered from the parent's stored values
-
-
-class Calls:
-    """Wraps f or c and counts its calls."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.n = fn.n
-        self.calls = 0
-
-    def __call__(self, bits):
-        self.calls += 1
-        return self.fn(bits)
+# zero-flip offspring: counted, without calling f or c
 
 
 class ScriptedRng:
-    """POMC draws: every parent selection returns `sel`, every mutation mask
-    flips nothing."""
+    """POMC's and EAMC's draws: every parent selection returns `sel`, every
+    mutation mask flips nothing."""
 
     def __init__(self, sel):
         self.sel = sel
@@ -431,36 +418,49 @@ class TestZeroFlip:
                                              (6.0, -2.0), (7.0, -3.0)]
         return p, f, c
 
-    def test_pomc_stale_parent_child_is_cut_off(self):
+    @pytest.mark.parametrize("parent_cost", [3.0, 2.0])
+    def test_pomc_zero_flip_child_is_a_count(self, parent_cost):
+        """Under a lowered bound a copy of a stale parent (cost 3 above
+        B + 1 = 2) and of a parent within it (cost 2) alike are one counted
+        evaluation with no f or c call, and the population is left exactly
+        as it was."""
         p, f, c = self.front_pomc()
-        p.set_budget(1.0)  # cutoff B + 1 = 2 < cost 3 of the full set
-        i = p._f2.index(-3.0)
-        p.rng = ScriptedRng((i + 0.5) / len(p))
-        before = list(zip(p._f1, p._f2))
-        base, f0, c0 = p.counter.count, f.calls, c.calls
-        p.run(1)
-        # a stored f of 7 would have replaced the parent and moved it last
-        assert list(zip(p._f1, p._f2)) == before
-        assert p.counter.count - base == 1
-        assert (f.calls - f0, c.calls - c0) == (0, 0)
-
-    def test_pomc_zero_flip_child_replaces_its_parent(self):
-        """The copy takes its parent's place in cost order, so the
-        population is left exactly as it was."""
-        p, f, c = self.front_pomc()
-        p.set_budget(1.0)  # cost 2 is still within B + 1
-        i = p._f2.index(-2.0)
+        p.set_budget(1.0)
+        i = p._cost.index(parent_cost)
         p.rng = ScriptedRng((i + 0.5) / len(p))
 
         def state():
-            return [(b.tobytes(), f1, f2)
-                    for b, f1, f2 in zip(p._bits, p._f1, p._f2)]
+            return [(b.tobytes(), f1, cost)
+                    for b, f1, cost in zip(p._bits, p._f1, p._cost)]
 
         before = state()
         base, f0, c0 = p.counter.count, f.calls, c.calls
         p.run(1)
         assert state() == before
         assert p.counter.count - base == 1
+        assert (f.calls - f0, c.calls - c0) == (0, 0)
+
+    def test_eamc_zero_flip_copy_of_v_can_become_u(self):
+        """At B = 10, g ranks {0} (f 1, cost 0.5) above {1} (f 1.8, cost 1),
+        so {0} is bin 1's U and {1} its V.  At B = 1, g ranks {1} higher;
+        the bins are not re-ranked by the change, but a zero-flip copy of V
+        is offered with V's stored (f, cost) and becomes U, with one
+        counted evaluation and no f or c call."""
+        f = Calls(LinearObjective([1.0, 1.8]))
+        c = Calls(LinearCost([0.5, 1.0]))
+        e = Eamc(f, c, 10.0, substream(0, "zero-flip"))
+        e._insert(bits_of(2, [0]), 1.0, 0.5)
+        e._insert(bits_of(2, [1]), 1.8, 1.0)
+        u, v = e.bins[1]
+        assert (u[0].tolist(), v[0].tolist()) == ([1, 0], [0, 1])
+        e.set_budget(1.0)
+        assert e.bins[1][0] is u and e._members[2] is v
+        e.rng = ScriptedRng(2.5 / len(e))
+        base, f0, c0 = e.counter.count, f.calls, c.calls
+        e.run(1)
+        new_u, new_v = e.bins[1]
+        assert new_u[0] is v[0] and new_u[1:] == (1.8, 1.0) and new_v is v
+        assert e.counter.count - base == 1
         assert (f.calls - f0, c.calls - c0) == (0, 0)
 
 

@@ -8,12 +8,11 @@ from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              brute_force_baseline, check_phi_approx,
                              chi2_sf, format_marks,
                              kruskal_wallis, norm_sf, offline_errors,
-                             partial_offline_error, submodularity_ratio)
+                             partial_offline_error)
 from dynsel.core import substream
 from dynsel.dynamics import BudgetSchedule, run_dynamic
 from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             LinearObjective, gen_random_digraph,
-                             random_linear_cost)
+                             gen_random_digraph, random_linear_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +187,7 @@ class TestBonferroniPosthoc:
 
 
 # ---------------------------------------------------------------------------
-# theory oracles
-
-
-class SquaredCardinality:
-    n = 3
-
-    def __call__(self, bits):
-        return float(bits.sum()) ** 2
-
-
-class TestSubmodularityRatio:
-    def test_coverage_is_submodular(self):
-        for seed in range(3):
-            f = CoverageInstance(
-                gen_random_digraph(8, 0.25, substream(seed, "sr"))).objective
-            assert submodularity_ratio(f) == 1.0
-
-    def test_linear_is_one(self):
-        assert submodularity_ratio(LinearObjective([1.0, 2.0, 3.0])) == 1.0
-
-    def test_squared_cardinality(self):
-        # marginals are 2k+1 for |X| = k; min ratio is 1/5 at |X|=0, |Y|=2
-        assert submodularity_ratio(SquaredCardinality()) == pytest.approx(0.2)
-
-    def test_cap(self):
-        f = LinearObjective(np.ones(11))
-        with pytest.raises(ValueError):
-            submodularity_ratio(f)
+# the phi-approximation check
 
 
 class TestCheckPhiApprox:

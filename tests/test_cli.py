@@ -642,6 +642,34 @@ class TestErrors:
             f"dynsel: error: {sched}: tau must be non-negative, got -5\n")
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("g3.costs", "# weights\n0.5\nnan\n0.5\n",
+         "line 3: cost 'nan' is not a finite number >= 0"),
+        ("g3.costs", "0.5\nabc\n0.5\n",
+         "line 2: cost 'abc' is not a finite number >= 0"),
+        ("g3.costs", "0.5\n0.5\n-1.0\n",
+         "line 3: cost '-1.0' is not a finite number >= 0"),
+        ("g3.edges", "x 15 directed\n",
+         "line 1: node count 'x' is not an integer"),
+        ("g3.edges", "3 2 directed\n0 1 1.0\n0 99 1.0\n",
+         "line 3: endpoint 99 outside the nodes 0-2"),
+        ("g3.edges", "c a DIMACS graph\np edge 3 2\ne 1 2\ne 1 x\n",
+         "line 4: endpoint 'x' is not an integer")])
+    def test_bad_input_file_refused_by_file_and_line(
+            self, tmp_path, capsys, name, text, message):
+        cfg = read_config(write_config(tmp_path, algorithms="gga,pomc"),
+                          cost={"variant": "random-linear",
+                                "costs": "g3.costs"})
+        with open(tmp_path / "config.ini", "w") as fh:
+            cfg.write(fh)
+        if name != "g3.costs":
+            (tmp_path / "g3.costs").write_text("0.5\n0.5\n0.5\n")
+        (tmp_path / name).write_text(text)
+        assert run_cli("run", "--config", tmp_path / "config.ini") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {tmp_path / name}: {message}\n")
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("alpha", ["0", "-1", "1.5", "1", "nan"])
     def test_alpha_outside_zero_one_refused(self, tmp_path, capsys,
                                             monkeypatch, alpha):

@@ -12,6 +12,8 @@ from dynsel.dynamics import ALL_ALGORITHMS, make_solver
 from dynsel.problems import (CardinalityCost, CoverageInstance,
                              gen_random_digraph, random_linear_cost)
 
+from conftest import Calls
+
 N = 8
 F = CoverageInstance(gen_random_digraph(N, 0.25, substream(0, "protocol"))).objective
 C = random_linear_cost(N, substream(1, "protocol"))
@@ -55,6 +57,36 @@ def test_negative_evals_refused(name):
     with pytest.raises(ValueError, match="evals must be non-negative"):
         solver.run(-5)
     assert solver.counter.count == before
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+@pytest.mark.parametrize("seed", range(3))
+def test_every_f_and_c_call_is_a_counted_evaluation(name, seed):
+    """Over a budget walk that rises and falls, a solver never calls f
+    more often than c, nor c more often than it counts evaluations."""
+    f, c = Calls(F), Calls(C)
+    rng = substream(seed, "calls")
+    solver = make_solver(name, f, c, 2.0, substream(seed, name))
+    for budget in (2.0, 0.5, 3.0, 1.0, 2.5, 0.0, 1.5, 3.0):
+        solver.set_budget(budget)
+        solver.run(int(rng.integers(0, 60)))
+        assert f.calls <= c.calls <= solver.counter.count
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_negative_bound_refused(name):
+    with pytest.raises(ValueError, match="budget must be non-negative, "
+                                         "got -0.5"):
+        make_solver(name, F, C, -0.5, substream(0, name))
+    solver = make_solver(name, F, C, 2.0, substream(0, name))
+    solver.set_budget(2.0)
+    solver.run(5)
+    with pytest.raises(ValueError, match="budget must be non-negative, "
+                                         "got -0.5"):
+        solver.set_budget(-0.5)
+    assert solver.budget == 2.0
+    solver.run(5)
+    assert solver.answer_value()[1] <= 2.0
 
 
 def test_phi_check_reads_any_solver():
