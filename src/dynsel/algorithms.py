@@ -50,49 +50,84 @@ def evaluate(f, c, bits, counter, cutoff):
     return float(f(bits)), cost
 
 
+def _enumerable(n):
+    if n > BRUTE_FORCE_CAP:
+        raise TooLargeError(f"n = {n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
+
+
 def all_subsets(n):
     """Every subset of an n-element ground set as 0/1 rows, in mask order
     (row k of the enumeration is the binary expansion of k, bit i = element i)."""
-    if n > BRUTE_FORCE_CAP:
-        raise TooLargeError(f"n = {n} exceeds enumeration cap {BRUTE_FORCE_CAP}")
-    shifts = np.arange(n, dtype=np.uint64)
+    _enumerable(n)
     total = 1 << n
     for start in range(0, total, 4096):
-        masks = np.arange(start, min(start + 4096, total), dtype=np.uint64)
-        yield from ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+        # the masks' little-endian bytes, unpacked straight to uint8 rows
+        masks = np.arange(start, min(start + 4096, total), dtype="<u4")
+        yield from np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1,
+                                 count=n, bitorder="little")
+
+
+def _subsets_within(n, c, top):
+    """(bits, cost) of every subset with c(bits) <= top, in mask order.
+
+    A cost that declares `monotone = True` prices no superset of a set
+    already priced above `top`: every set with an immediate subset marked
+    as over `top` is marked without calling c, since it costs at least as
+    much (the Apriori rule, Agrawal & Srikant, VLDB 1994).  Any other
+    cost, routing's among them, is called on every subset.
+    """
+    _enumerable(n)
+    if not getattr(c, "monotone", False):
+        for bits in all_subsets(n):
+            cost = float(c(bits))
+            if cost <= top:
+                yield bits, cost
+        return
+    over = bytearray(1 << n)
+    for k, bits in enumerate(all_subsets(n)):
+        rest = k
+        while rest:
+            low = rest & -rest
+            if over[k ^ low]:
+                break
+            rest ^= low
+        if rest:
+            over[k] = 1
+            continue
+        cost = float(c(bits))
+        if cost <= top:
+            yield bits, cost
+        else:
+            over[k] = 1
 
 
 def brute_force_opt(f, c, budget):
     """(bits, value) of an exact maximizer of f over {X : c(X) <= budget} by
-    enumeration, n <= 24."""
-    n = f.n
+    enumeration, n <= 24; the first maximizer in mask order."""
     best_bits, best_val = None, NEG_INF
-    for bits in all_subsets(n):
-        if float(c(bits)) <= budget:
-            val = float(f(bits))
-            if val > best_val:
-                best_bits, best_val = bits, val
+    for bits, _cost in _subsets_within(f.n, c, budget):
+        val = float(f(bits))
+        if val > best_val:
+            best_bits, best_val = bits, val
     if best_bits is None:
-        # c is monotone with c(empty) = 0, so this only happens for budget < 0
-        empty = np.zeros(n, dtype=np.uint8)
+        # c(empty) = 0, so this only happens for budget < 0
+        empty = np.zeros(f.n, dtype=np.uint8)
         return empty, float(f(empty))
     return best_bits.copy(), best_val
 
 
 def brute_force_front(f, c, budgets):
-    """Optimum value for each budget in `budgets` from a single enumeration."""
+    """Optimum value for each budget in `budgets` from a single enumeration
+    (NEG_INF for a budget nothing fits)."""
     budgets = sorted(budgets)
-    best = {b: NEG_INF for b in budgets}
-    for bits in all_subsets(f.n):
-        cost = float(c(bits))
-        val = None
-        for b in budgets:
-            if cost <= b:
-                if val is None:
-                    val = float(f(bits))
-                if val > best[b]:
-                    best[b] = val
-    return best
+    best = [NEG_INF] * len(budgets)
+    top = budgets[-1] if budgets else NEG_INF
+    for bits, cost in _subsets_within(f.n, c, top):
+        val = float(f(bits))
+        for i in range(bisect_left(budgets, cost), len(budgets)):
+            if val > best[i]:
+                best[i] = val
+    return dict(zip(budgets, best))
 
 
 def knapsack_opt_value(instance, budget) -> float:

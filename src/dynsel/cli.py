@@ -403,6 +403,12 @@ def cmd_run(args) -> int:
             params.setdefault("delta_cap", schedule.r)
         per_seed[seed] = (schedule, dict(params))
 
+    for section, key in INPUT_KEYS:
+        name = cfg.get(section, key, fallback="")
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ValueError(f"[{section}] {key} must name a file in the "
+                             f"config's directory or below it, got {name!r}")
+
     out_dir = Path(run_sec.get("output", "results"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
@@ -550,15 +556,13 @@ def cmd_analyze(args) -> int:
     r_val, tau_val = f"{schedule.r:.12g}", schedule.tau
     constraint = manifest.get("cost_variant", "")
 
+    series = {alg: [offline_errors(by_alg[alg][s], baseline)
+                    for s in sorted(by_alg[alg])] for alg in algorithms}
     rows = []
     matrices = {}
     for (lo, hi) in intervals:
-        groups = []
-        for alg in algorithms:
-            per_seed = [partial_offline_error(
-                offline_errors(by_alg[alg][s], baseline), lo, hi)
-                for s in sorted(by_alg[alg])]
-            groups.append(np.asarray(per_seed))
+        groups = [np.asarray([partial_offline_error(e, lo, hi)
+                              for e in series[alg]]) for alg in algorithms]
         _h, p = kruskal_wallis(groups) if len(groups) > 1 else (0.0, 1.0)
         marks = (bonferroni_posthoc(groups, alpha=args.alpha)
                  if p < args.alpha else np.zeros((len(groups),) * 2, dtype=int))

@@ -41,8 +41,16 @@ class ObjectiveFn:
 
 
 class CostFn:
-    """Monotone cost with c(empty) = 0.  `min_increment` is the smallest
-    possible single-element cost increase on the instance."""
+    """Cost with c(empty) = 0.  `min_increment` is the smallest possible
+    single-element cost increase on the instance.
+
+    Not every cost is monotone (the routing cost is not).  A subclass whose
+    cost never falls when an element is added says so with the class
+    attribute `monotone = True`, which lets exhaustive enumerations skip the
+    supersets of a set over the budget.  The attribute is deliberately not
+    defined here: a wrapper that forwards unknown attributes to the cost it
+    wraps then reports the wrapped cost's answer.
+    """
 
     min_increment = 0.0
     n: int

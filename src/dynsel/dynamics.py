@@ -193,19 +193,49 @@ def write_run_csv(path, run_id, seed, records) -> None:
                              rec.evaluations, f"{rec.wall_ms:.3f}"])
 
 
+# the columns read back into a RunRecord, in its field order, with their types
+RUN_CSV_FIELDS = (("change_index", int), ("budget", float), ("algorithm", str),
+                  ("best_f", float), ("best_cost", float),
+                  ("evaluations", int), ("wall_ms", float))
+
+
 def read_run_csv(path):
+    """The records `write_run_csv` wrote, its columns found by header name.
+    A missing column, a short row or a field that is not a number is
+    refused with a ValueError naming the file, and the line or column."""
     import csv
 
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(RunRecord(
-                change_index=int(row["change_index"]), budget=float(row["budget"]),
-                algorithm=row["algorithm"], best_f=float(row["best_f"]),
-                best_cost=float(row["best_cost"]),
-                evaluations=int(row["evaluations"]),
-                wall_ms=float(row["wall_ms"])))
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        for name, _kind in RUN_CSV_FIELDS:
+            if name not in header:
+                raise ValueError(f"{path}: the run file has no {name} column")
+        fields = [(header.index(name), kind) for name, kind in RUN_CSV_FIELDS]
+        for row in rows:
+            if not row:
+                continue
+            try:
+                records.append(RunRecord(*[kind(row[i]) for i, kind in fields]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {rows.line_num}: "
+                                 f"{_bad_field(row, header)}") from None
     return records
+
+
+def _bad_field(row, header) -> str:
+    """What is wrong with a run-file row that did not parse."""
+    for name, kind in RUN_CSV_FIELDS:
+        i = header.index(name)
+        if i >= len(row):
+            return f"the row has no {name} field"
+        try:
+            kind(row[i])
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            return f"{name} {row[i]!r} is not {noun}"
+    return "the row does not parse"
 
 
 def make_solver(name, f, c, budget, rng, params=None):

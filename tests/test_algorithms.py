@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
                                NoFeasibleMemberError, Nsga2, Pomc, ScanMemo,
@@ -82,6 +84,47 @@ class TestBruteForce:
         inst = KnapsackInstance([(0.5, 1.0)])
         with pytest.raises(ValueError):
             knapsack_opt_value(inst, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           linear=st.booleans(),
+           budgets=st.lists(st.floats(-1.0, 6.0), max_size=4))
+    @example(n=6, seed=0, linear=True, budgets=[])
+    @example(n=6, seed=0, linear=False, budgets=[-0.5, 2.0])
+    def test_pruned_scan_matches_a_plain_enumeration(self, n, seed, linear,
+                                                     budgets):
+        rng = substream(seed, "pruned-scan")
+        f = CoverageInstance(gen_random_digraph(n, 0.3, rng)).objective
+        c = random_linear_cost(n, rng) if linear else CardinalityCost(n)
+        rows = [np.array([(k >> i) & 1 for i in range(n)], dtype=np.uint8)
+                for k in range(1 << n)]
+        costs = [float(c(bits)) for bits in rows]
+        values = [float(f(bits)) for bits in rows]
+        front = {}
+        for b in budgets:
+            fits = [k for k in range(1 << n) if costs[k] <= b]
+            front[b] = max((values[k] for k in fits), default=NEG_INF)
+            first = max(fits, key=values.__getitem__, default=0)  # first maximizer
+            bits, val = brute_force_opt(f, c, b)
+            assert bits.tolist() == rows[first].tolist()
+            assert val == values[first]
+        assert brute_force_front(f, c, budgets) == front
+
+    def test_front_under_a_monotone_cost_prices_few_subsets(self):
+        n, budgets = 13, [0.5, 1.0, 1.5, 2.0]
+        f = CoverageInstance(
+            gen_random_digraph(n, 0.2, substream(1, "prune-f"))).objective
+        # the weights `dynsel generate random-costs --n 13 --seed 1` writes
+        c = Calls(random_linear_cost(n, substream(1, "generate", "random-costs")))
+        brute_force_front(f, c, budgets)
+        assert c.calls == 1 << n  # Calls declares no monotone: every subset
+        c.calls, c.monotone = 0, True  # as the linear cost it counts does
+        brute_force_front(f, c, budgets)
+        # priced: the sets whose every immediate subset fits the top budget
+        fits = [float(c.fn(bits)) <= budgets[-1] for bits in all_subsets(n)]
+        candidates = sum(all(fits[k ^ (1 << i)] for i in range(n) if k >> i & 1)
+                         for k in range(1 << n))
+        assert c.calls == candidates < 2000
 
 
 # ---------------------------------------------------------------------------

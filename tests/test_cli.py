@@ -461,6 +461,26 @@ class TestAnalyze:
         assert str(run_file) in err and "no records" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("budget,", "budgte,", "the run file has no budget column"),
+        ("change_index,", "index,", "the run file has no change_index column"),
+        (",1.0,gga,", ",one,gga,", "line 2: budget 'one' is not a number"),
+        ("gga,3.0,", "gga,x,", "line 2: best_f 'x' is not a number")])
+    def test_malformed_run_file_refused_by_file_and_line(
+            self, tmp_path, capsys, old, new, message):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        run_file = sorted((tmp_path / "results").glob("*_s*.csv"))[0]
+        text = run_file.read_text()
+        assert old in text
+        run_file.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {run_file}: {message}\n")
+        assert not (tmp_path / "results" / "report.csv").exists()
+
     def test_pomc_baseline_spec(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga", seeds="1",
                               tau=0, count=2)
@@ -669,6 +689,23 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"dynsel: error: {tmp_path / name}: {message}\n")
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_input_outside_the_config_directory_refused(
+            self, tmp_path, capsys, outside):
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        name = "../g.edges" if outside else str(tmp_path / "g.edges")
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        cfg = read_config(write_config(cfg_dir), instance={"graph": name})
+        with open(cfg_dir / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", cfg_dir / "config.ini") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: [instance] graph must name a file in the "
+            f"config's directory or below it, got {name!r}\n")
+        assert sorted(p.name for p in cfg_dir.iterdir()) == ["config.ini",
+                                                             "g3.edges"]
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "1.5", "1", "nan"])
     def test_alpha_outside_zero_one_refused(self, tmp_path, capsys,

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dynsel.core import substream
+from dynsel.algorithms import brute_force_front, brute_force_opt
+from dynsel.core import CostFn, substream
 from dynsel.problems import (CardinalityCost, CoverageInstance, DirectedGraph,
                              DisconnectedSelectionError, GraphParseError,
                              InfluenceInstance, IcSpreadObjective, LinearCost,
-                             RoutingCost, bfs_reachable,
+                             LinearObjective, RoutingCost, bfs_reachable,
                              gen_adversarial_knapsack, gen_ba_graph,
                              gen_bipartite_cover, gen_er_graph,
                              gen_random_digraph, load_dimacs,
@@ -244,6 +245,36 @@ class TestCosts:
                     added = bits.copy()
                     added[v] = 1
                     assert c(added) - base >= c.min_increment - 1e-12
+
+    @pytest.mark.parametrize("variant", ["cardinality", "random-linear", "outdegree"])
+    def test_linear_variants_declare_monotone(self, variant):
+        n = 6
+        g = gen_random_digraph(n, 0.3, substream(7, "mono", variant))
+        weights = random_linear_cost(n, substream(8, "mono", variant)).weights
+        assert make_cost(variant, n=n, graph=g, weights=weights).monotone is True
+
+    def test_routing_declares_no_monotone(self):
+        g = gen_er_graph(6, 1.0, substream(9, "mono-routing"))
+        c = make_cost("routing", influence=InfluenceInstance(g, routing_graph=g))
+        assert not hasattr(c, "monotone")
+        assert not hasattr(CostFn, "monotone")  # wrappers forward the answer
+
+    def test_routing_is_not_monotone_and_keeps_the_full_enumeration(self):
+        xs = [0.0, 1.0, -1.05, 10.0, -0.9]  # five nodes on a line
+        routing = DirectedGraph.from_edges(
+            5, [(u, v, 1.0, abs(xs[u] - xs[v]))
+                for u, v in itertools.combinations(range(5), 2)],
+            directed=False)
+        c = RoutingCost(InfluenceInstance(
+            DirectedGraph.from_edges(5, []), simulations=1,
+            routing_graph=routing, per_node_cost=1.0))
+        # adding node 4 lets the nearest-neighbour route skip two long legs
+        assert c(bits_of(5, [0, 1, 2, 3])) == pytest.approx(18.1)
+        assert c(bits_of(5, range(5))) == pytest.approx(17.1)
+        # a front pruned at the over-budget {0, 1, 2, 3} would answer 4.0
+        f = LinearObjective([1.0] * 5)
+        assert brute_force_front(f, c, [17.5]) == {17.5: 5.0}
+        assert brute_force_opt(f, c, 17.5)[1] == 5.0
 
 
 # ---------------------------------------------------------------------------
