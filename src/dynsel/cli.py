@@ -33,8 +33,8 @@ from .dynamics import (ALL_ALGORITHMS, SCHEDULE_KEYS, SCHEDULE_PRESETS,
                        load_schedule, planned_evals, preset_schedule,
                        read_run_csv, run_dynamic, save_schedule,
                        write_run_csv)
-from .problems import (CoverageInstance, DirectedGraph, IcSpreadObjective,
-                       InfluenceInstance, bfs_reachable,
+from .problems import (CoverageInstance, DirectedGraph, GraphParseError,
+                       IcSpreadObjective, InfluenceInstance, bfs_reachable,
                        gen_adversarial_knapsack, gen_ba_graph,
                        gen_bipartite_cover, gen_er_graph, gen_random_digraph,
                        load_dimacs, load_edge_list, make_cost,
@@ -73,7 +73,9 @@ def _config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def load_graph(path) -> DirectedGraph:
+def load_graph(path, routing=False) -> DirectedGraph:
+    """A DIMACS or edge-list graph, by its first line; a `routing` graph
+    needs a weight on every edge, which only the edge-list format holds."""
     with open(path) as fh:
         for line in fh:
             if line.strip() and not line.startswith(("c", "#")):
@@ -82,8 +84,11 @@ def load_graph(path) -> DirectedGraph:
         else:
             first = ""
     if first == "p":
+        if routing:
+            raise GraphParseError(path, "a routing graph needs edge weights, "
+                                  "which the DIMACS format does not hold")
         return load_dimacs(path)
-    return load_edge_list(path)
+    return load_edge_list(path, routing)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,8 @@ def build_instance(cfg, base_dir: Path):
         else:
             routing = None
             if inst_sec.get("routing_graph"):
-                routing = load_graph(base_dir / inst_sec.get("routing_graph"))
+                routing = load_graph(base_dir / inst_sec.get("routing_graph"),
+                                     routing=True)
             influence = InfluenceInstance(
                 social_graph=graph,
                 simulations=_config_int(inst_sec, "simulations", 500, 1),
@@ -518,13 +524,33 @@ def _baseline_evals(spec):
     return int(raw)
 
 
+def _read_manifest(path) -> dict:
+    """A bundle's manifest, refused by key unless it holds what `analyze`
+    reads: a `files` list, a non-empty `seeds` list of integers and a
+    `config_hash` string."""
+    manifest = json.loads(Path(path).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: the manifest is not a JSON object")
+    for key, kind, what in (("files", list, "a list"),
+                            ("seeds", list, "a non-empty list of integers"),
+                            ("config_hash", str, "a string")):
+        if key not in manifest:
+            raise ValueError(f"{path}: the manifest has no {key!r} key")
+        value = manifest[key]
+        if not isinstance(value, kind) or key == "seeds" and not (
+                value and all(type(s) is int for s in value)):
+            raise ValueError(f"{path}: the manifest's {key!r} must be {what}, "
+                             f"got {value!r}")
+    return manifest
+
+
 def cmd_analyze(args) -> int:
     jobs = _jobs(args.jobs)
     baseline_evals = _baseline_evals(args.baseline)
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must be in (0, 1), got {args.alpha!r}")
     results_dir = Path(args.results)
-    manifest = json.loads((results_dir / "manifest.json").read_text())
+    manifest = _read_manifest(results_dir / "manifest.json")
     cfg = _read_config(results_dir / "config.ini")
     f, c, meta = build_instance(cfg, results_dir)
 

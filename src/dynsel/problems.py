@@ -41,6 +41,7 @@ class DirectedGraph:
 
     Each outgoing edge is (target, probability, weight).  Probability is the
     influence probability for cascade models, weight the routing length.
+    `from_edges` and the file loaders check every edge as they store it.
     """
 
     n: int
@@ -48,21 +49,17 @@ class DirectedGraph:
     positions: np.ndarray | None = None  # (n, 2) in the unit plane
     directed: bool = True
 
-    def __post_init__(self):
-        for u, edges in enumerate(self.adjacency):
-            for (t, p, _w) in edges:
-                if not 0 <= t < self.n:
-                    raise ValueError(f"edge target {t} out of range")
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"edge probability {p} outside [0,1]")
-
     @classmethod
     def from_edges(cls, n, edges, positions=None, directed=True):
         """edges: iterable of (u, v) or (u, v, p) or (u, v, p, w)."""
         adjacency = [[] for _ in range(n)]
         for e in edges:
             u, v = e[0], e[1]
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0-{n - 1}")
             p = float(e[2]) if len(e) > 2 and e[2] is not None else 1.0
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"edge probability {p} outside [0, 1]")
             w = float(e[3]) if len(e) > 3 and e[3] is not None else None
             adjacency[u].append((v, p, w))
             if not directed:
@@ -218,12 +215,17 @@ class IcSpreadObjective(SetCoverObjective):
 
     def __init__(self, inst: InfluenceInstance, rng):
         n, self.samples = inst.n, inst.simulations
-        edges = [(u, t, p) for u, out in enumerate(inst.social_graph.adjacency)
-                 for (t, p, _w) in out]
-        live = rng.random((self.samples, len(edges))) < np.array([e[2] for e in edges])
+        adjacency = inst.social_graph.adjacency
+        sources = np.array([u for u, out in enumerate(adjacency) for _ in out])
+        targets = np.array([t for out in adjacency for (t, _p, _w) in out])
+        probs = np.array([p for out in adjacency for (_t, p, _w) in out])
+        live = rng.random((self.samples, probs.size)) < probs
+        sample, edge = np.nonzero(live)  # by sample, then in edge order
+        us, ts = sources[edge].tolist(), targets[edge].tolist()
+        ends = np.cumsum(np.bincount(sample, minlength=self.samples)).tolist()
         per_sample = []
-        for row in live.tolist():
-            kept = [(u, t) for (u, t, _p), on in zip(edges, row) if on]
+        for start, end in zip([0, *ends], ends):
+            kept = list(zip(us[start:end], ts[start:end]))
             reach = [1 << v for v in range(n)]
             changed = True
             while changed:  # until every node holds its whole reachable set
@@ -304,6 +306,13 @@ def outdegree_cost(graph: DirectedGraph, q: int = 6) -> LinearCost:
     return LinearCost(w)
 
 
+# Sources per block of RoutingCost's all-pairs Dijkstra; a block's arrays
+# hold this many rows whatever n is.  On a 2-vCPU VM, 128 took 3-4 ms at
+# n = 100 (64: 4.8-6.7 ms) and 0.19-0.27 s at n = 400 (64: 0.22 s, 256:
+# 0.29-0.31 s).
+DIJKSTRA_BLOCK = 128
+
+
 class RoutingCost(CostFn):
     """Per-node charge plus a nearest-neighbor route over the selected nodes.
 
@@ -329,24 +338,43 @@ class RoutingCost(CostFn):
         self._rows = {}  # node -> its distance row as a list, made on first use
 
     def _distances(self):
+        """All-pairs shortest-path lengths, by Dijkstra's algorithm (1959)
+        run in lockstep for blocks of sources: each step settles, per
+        source, its nearest unsettled node u and relaxes every node v to
+        min(d[v], d[u] + w(u, v)).  Each distance is the float sum that a
+        per-source heap Dijkstra forms, so the matrix equals its bit for
+        bit.  O(n^3) elementwise work, on (block, n) arrays."""
         if self._dist is None:
-            # imported here, not at module level: only routing needs scipy,
-            # and loading it would slow the start of every other command
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-
             g = self.inst.routing_graph
-            shortest = {}  # (u, v) -> lightest parallel edge; csr_matrix would sum them
-            for (u, v, _p, w) in g.edge_list():
-                if w is None:
-                    raise ValueError("routing edges must carry weights")
-                if w < shortest.get((u, v), POS_INF):
-                    shortest[u, v] = w
-            rows = [u for (u, _v) in shortest]
-            cols = [v for (_u, v) in shortest]
-            mat = csr_matrix((list(shortest.values()), (rows, cols)),
-                             shape=(g.n, g.n))
-            self._dist = dijkstra(mat, directed=g.directed)
+            n = g.n
+            ends = [t for out in g.adjacency for (t, _p, _w) in out]
+            lengths = [w for out in g.adjacency for (_t, _p, w) in out]
+            if None in lengths:
+                raise ValueError("routing edges must carry weights")
+            starts = [u for u, out in enumerate(g.adjacency) for _ in out]
+            weight = np.full((n, n), POS_INF)
+            np.minimum.at(weight, (starts, ends), lengths)  # lightest parallel edge
+            if not (weight >= 0).all():
+                raise ValueError("routing edge weights must be numbers >= 0")
+            dist = np.empty((n, n))
+            for first in range(0, n, DIJKSTRA_BLOCK):
+                block = dist[first:first + DIJKSTRA_BLOCK]
+                rows = np.arange(len(block))
+                block.fill(POS_INF)
+                block[rows, first + rows] = 0.0
+                settled = np.zeros_like(block)  # +inf where a source settled the node
+                pending = np.empty_like(block)
+                relaxed = np.empty_like(block)
+                for _ in range(n - 1):  # the last node left needs no step
+                    # a source with nothing reachable left picks any node;
+                    # relaxing from it again changes nothing
+                    u = np.add(block, settled, out=pending).argmin(axis=1)
+                    settled[rows, u] = POS_INF
+                    # u is in range; "clip" spares the copy "raise" makes of `out`
+                    np.take(weight, u, axis=0, out=relaxed, mode="clip")
+                    relaxed += block[rows, u][:, None]
+                    np.minimum(block, relaxed, out=block)
+            self._dist = dist
         return self._dist
 
     def __call__(self, bits) -> float:
@@ -563,26 +591,30 @@ def load_dimacs(path) -> DirectedGraph:
     return DirectedGraph.from_edges(n, edges)
 
 
-def load_edge_list(path) -> DirectedGraph:
+def load_edge_list(path, routing=False) -> DirectedGraph:
     """Edge-list format: header `n m directed|undirected`, then
     `u v [p] [w]` lines, 0-indexed.  Optional `pos x y` lines carry node
-    positions in node order."""
+    positions in node order.  Each line is parsed and checked once, and a
+    fault is refused by file and line.  For a `routing` graph, whose
+    weights are route lengths, every edge needs a weight that is a finite
+    number >= 0."""
     with open(path) as fh:
         lines = fh.readlines()
-    header = None
-    edges = []
+    adjacency = None
+    found = 0
     positions = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         try:
-            if header is None:
+            if adjacency is None:
                 if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
                     raise ValueError("header must be `n m directed|undirected`")
-                header = (_number(int, parts[0], "node count"),
-                          _number(int, parts[1], "edge count"), parts[2] == "directed")
+                n = _number(int, parts[0], "node count")
+                m = _number(int, parts[1], "edge count")
+                directed = parts[2] == "directed"
+                adjacency = [[] for _ in range(n)]
             elif parts[0] == "pos":
                 if len(parts) != 3:
                     raise ValueError("pos line needs x and y")
@@ -590,22 +622,30 @@ def load_edge_list(path) -> DirectedGraph:
             elif not 2 <= len(parts) <= 4:
                 raise ValueError("edge line needs `u v [p] [w]`")
             else:
-                p = _number(float, parts[2], "probability") if len(parts) > 2 else None
-                if p is not None and not 0.0 <= p <= 1.0:
+                p = _number(float, parts[2], "probability") if len(parts) > 2 else 1.0
+                if not 0.0 <= p <= 1.0:
                     raise ValueError(f"edge probability {p!r} outside [0, 1]")
                 w = _number(float, parts[3], "weight") if len(parts) > 3 else None
-                edges.append((*_endpoints(parts[:2], header[0], 0), p, w))
+                if routing and w is None:
+                    raise ValueError("routing edge line needs `u v p w`: "
+                                     "its weight is the route length")
+                if routing and not 0.0 <= w < math.inf:
+                    raise ValueError(f"weight {parts[3]!r} is not a finite number >= 0")
+                u, v = _endpoints(parts[:2], n, 0)
+                adjacency[u].append((v, p, w))
+                if not directed:
+                    adjacency[v].append((u, p, w))
+                found += 1
         except ValueError as exc:
             raise GraphParseError(path, exc, lineno) from None
-    if header is None:
+    if adjacency is None:
         raise GraphParseError(path, "missing header line")
-    n, m, directed = header
-    if len(edges) != m:
-        raise GraphParseError(path, f"header declares {m} edges, found {len(edges)}")
+    if found != m:
+        raise GraphParseError(path, f"header declares {m} edges, found {found}")
     pos = np.asarray(positions) if positions else None
     if pos is not None and len(pos) != n:
         raise GraphParseError(path, f"expected {n} pos lines, found {len(pos)}")
-    return DirectedGraph.from_edges(n, edges, positions=pos, directed=directed)
+    return DirectedGraph(n, adjacency, positions=pos, directed=directed)
 
 
 def save_edge_list(graph: DirectedGraph, path) -> None:

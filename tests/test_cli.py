@@ -690,6 +690,58 @@ class TestErrors:
             f"dynsel: error: {tmp_path / name}: {message}\n")
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2 undirected\n0 1 1.0 1.0\n1 2 1.0 -2.0\n",
+         "line 3: weight '-2.0' is not a finite number >= 0"),
+        ("3 2 undirected\n0 1 1.0 1.0\n1 2 1.0 nan\n",
+         "line 3: weight 'nan' is not a finite number >= 0"),
+        ("3 2 undirected\n0 1 1.0 1.0\n1 2 1.0\n",
+         "line 3: routing edge line needs `u v p w`: its weight is the "
+         "route length"),
+        ("p edge 3 2\ne 1 2\ne 2 3\n", "a routing graph needs edge "
+         "weights, which the DIMACS format does not hold")])
+    def test_bad_routing_weight_refused_by_file_and_line(
+            self, tmp_path, capsys, text, message):
+        (tmp_path / "social.edges").write_text("3 2 directed\n0 1 0.5\n1 2 0.5\n")
+        (tmp_path / "routing.edges").write_text(text)
+        cfg = read_config(write_config(tmp_path, algorithms="pomc"),
+                          instance={"kind": "influence", "graph": "social.edges",
+                                    "routing_graph": "routing.edges",
+                                    "simulations": "5"},
+                          cost={"variant": "routing"})
+        with open(tmp_path / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", tmp_path / "config.ini") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {tmp_path / 'routing.edges'}: {message}\n")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", None, "the manifest has no 'seeds' key"),
+        ("seeds", [], "the manifest's 'seeds' must be a non-empty list of "
+                      "integers, got []"),
+        ("files", None, "the manifest has no 'files' key"),
+        ("config_hash", None, "the manifest has no 'config_hash' key"),
+        (None, 5, "the manifest is not a JSON object")])
+    def test_manifest_without_a_key_refused_by_key(self, tmp_path, capsys,
+                                                   key, value, message):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        path = tmp_path / "results" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if key is None:
+            manifest = value
+        elif value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results") == 2
+        assert capsys.readouterr().err == f"dynsel: error: {path}: {message}\n"
+        assert not (tmp_path / "results" / "report.csv").exists()
+
     @pytest.mark.parametrize("outside", [False, True])
     def test_input_outside_the_config_directory_refused(
             self, tmp_path, capsys, outside):

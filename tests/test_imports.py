@@ -1,6 +1,6 @@
 """Start-up cost and dependencies: importing the package and its CLI loads
-neither scipy nor networkx, routing loads scipy's shortest paths on first
-use, and no command needs networkx."""
+neither scipy nor networkx, the routing cost's shortest paths load no scipy,
+and no command needs scipy or networkx."""
 
 import json
 import os
@@ -34,7 +34,7 @@ def test_cli_import_loads_no_scipy_or_networkx():
     assert heavy_modules(loaded) == []
 
 
-def test_routing_cost_loads_shortest_paths_lazily():
+def test_routing_cost_loads_no_scipy():
     result = run_python(
         "import json, sys\n"
         "import numpy as np\n"
@@ -42,26 +42,26 @@ def test_routing_cost_loads_shortest_paths_lazily():
         "from dynsel.problems import InfluenceInstance, RoutingCost, gen_er_graph\n"
         "g = gen_er_graph(12, 0.4, substream(5, 'route'))\n"
         "c = RoutingCost(InfluenceInstance(g, routing_graph=g))\n"
-        "before = [m for m in sys.modules if m.startswith('scipy')]\n"
         "values = []\n"
         "for sel in ([], [3], [0, 11], [1, 4, 7, 9], list(range(12))):\n"
         "    bits = np.zeros(12, dtype=np.uint8)\n"
         "    bits[sel] = 1\n"
         "    values.append(c(bits))\n"
-        "print(json.dumps({'before': before, 'values': values,\n"
-        "                  'after': 'scipy.sparse.csgraph' in sys.modules}))\n")
-    assert result["before"] == []
-    assert result["after"]
-    # the values RoutingCost gave when scipy was imported at module level
+        "heavy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps({'values': values, 'loaded': heavy}))\n")
+    assert result["loaded"] == []
+    # the values RoutingCost gave when its shortest paths came from scipy
     assert result["values"] == [0.0, 0.1, 0.9457514910307736, 2.4416941306733326,
                                 5.735804787583736]
 
 
 def test_commands_run_without_networkx(tmp_path):
-    """`sys.modules["networkx"] = None` makes every networkx import fail."""
+    """`sys.modules[name] = None` makes every import of `name` fail, so
+    generate, run and analyze, the routing cost included, need neither
+    scipy nor networkx."""
     result = run_python(
         "import json, sys\n"
-        "sys.modules['networkx'] = None\n"
+        "sys.modules['networkx'] = sys.modules['scipy'] = None\n"
         "from dynsel.cli import main\n"
         f"out = {str(tmp_path)!r}\n"
         "codes = [\n"

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynsel.algorithms import brute_force_front, brute_force_opt
 from dynsel.core import CostFn, substream
@@ -216,6 +219,46 @@ class TestCosts:
                 assert c(bits) == want
         if seed % 2:
             assert raised > 0  # disconnected selections are covered
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), degree=st.floats(0.0, 6.0),
+           directed=st.booleans(), integer_weights=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=300, degree=0.8, directed=False, integer_weights=True, seed=0)
+    @example(n=200, degree=3.0, directed=True, integer_weights=False, seed=1)
+    def test_routing_distances_equal_scipy_dijkstra(
+            self, n, degree, directed, integer_weights, seed):
+        """Bit for bit, over directed and undirected graphs with zero-weight
+        and parallel edges and unreachable nodes; n > 128 crosses a block
+        of sources."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        rng = np.random.default_rng(seed)
+        m = int(degree * n)
+        ends = rng.integers(n, size=(2, m)).tolist()
+        weights = (rng.integers(0, 3, m).astype(float) if integer_weights
+                   else np.where(rng.random(m) < 0.1, 0.0, rng.random(m))).tolist()
+        edges = [(u, v, 1.0, w) for u, v, w in zip(*ends, weights)]
+        edges += [(u, v, 1.0, w + 0.5) for (u, v, _p, w) in edges[::5]]  # parallel
+        g = DirectedGraph.from_edges(n, edges, directed=directed)
+        got = RoutingCost(InfluenceInstance(g, simulations=1,
+                                            routing_graph=g))._distances()
+        lightest = {}  # csr_matrix would sum parallel edges
+        for (u, v, _p, w) in g.edge_list():
+            lightest[u, v] = min(w, lightest.get((u, v), w))
+        rows, cols = zip(*lightest) if lightest else ((), ())
+        want = dijkstra(csr_matrix((list(lightest.values()), (rows, cols)),
+                                   shape=(n, n)), directed=directed)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weight", [-2.0, math.nan, None])
+    def test_routing_refuses_weights_that_are_not_lengths(self, weight):
+        g = DirectedGraph.from_edges(3, [(0, 1, 1.0, 1.0), (1, 2, 1.0, weight)],
+                                     directed=False)
+        c = RoutingCost(InfluenceInstance(g, simulations=1, routing_graph=g))
+        with pytest.raises(ValueError, match="routing edge"):
+            c(bits_of(3, [0, 2]))
 
     @pytest.mark.parametrize("variant", ["cardinality", "random-linear", "outdegree"])
     def test_monotone_with_zero_empty_cost(self, variant):
@@ -454,6 +497,19 @@ class TestEdgeList:
         with pytest.raises(GraphParseError) as exc:
             load_edge_list(path)
         assert exc.value.lineno == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 1 1.0 -2.0", "weight '-2.0' is not a finite number >= 0"),
+        ("0 1 1.0 nan", "weight 'nan' is not a finite number >= 0"),
+        ("0 1 1.0 inf", "weight 'inf' is not a finite number >= 0"),
+        ("0 1 1.0", "routing edge line needs `u v p w`")])
+    def test_routing_weights_refused_by_line(self, tmp_path, line, message):
+        path = tmp_path / "r.edges"
+        path.write_text(f"3 2 undirected\n1 2 1.0 0.5\n{line}\n")
+        assert load_edge_list(path).n == 3  # any weight, or none, elsewhere
+        with pytest.raises(GraphParseError, match=message) as exc:
+            load_edge_list(path, routing=True)
+        assert exc.value.lineno == 3
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "mis.edges"
