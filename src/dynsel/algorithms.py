@@ -7,13 +7,16 @@ stored (f, cost) within a bound (the current one by default).  Each solver
 owns its `counter`.
 
 Greedy (GGA, `Gga`) and its adaptive variant (AdGGA) draw no random numbers
-and do their whole work in `set_budget`: every evaluation of their scans is
-counted, also one read from an earlier scan, but none is charged against
-`run`, which does nothing, and their answer holds for the current bound
-only.  POMC, EAMC and NSGA-II are iterative: every f and c call they make,
-NSGA-II's f(V) and c(V) included, is one evaluation through `evaluate`, the
-single place that counts and applies the infeasibility cutoff.  A child
-that flips no bit is counted without calling f or c.
+and do their whole work in `set_budget`.  Every round is counted as a full
+rescan of its candidates, but f and c are called only in the first round of
+an epoch (the rounds between two additions, `_Epoch`), and `Gga` replays
+without a call the epochs of its last fill that a change leaves as they
+were.  None of this is charged against `run`, which does nothing, and their
+answer holds for the current bound only.  POMC, EAMC and NSGA-II are
+iterative: every f and c call they make, NSGA-II's f(V) and c(V) included,
+is one evaluation through `evaluate`, the single place that counts and
+applies the infeasibility cutoff.  A child that flips no bit is counted
+without calling f or c.
 """
 
 from __future__ import annotations
@@ -216,45 +219,85 @@ def _fc(f, c, x):
     return float(f(x)), cost
 
 
-class ScanMemo:
-    """(f, c) of the vectors greedy scans saw at the current and the previous
-    budget change, keyed by `bits.tobytes()`.
-
-    Consecutive budgets differ by a few units, so a greedy restarted from
-    the empty set repeats most of the previous change's scans.  A hit saves
-    only the f and c calls: the caller still charges the evaluation.
-    Entries older than the previous change are dropped.
-    """
-
-    def __init__(self):
-        self.current, self.previous = {}, {}
-
-    def next_change(self) -> None:
-        self.previous, self.current = self.current, {}
-
-    def __call__(self, f, c, x):
-        key = x.tobytes()
-        fc = self.current.get(key)
-        if fc is None:
-            fc = self.previous.get(key)
-            if fc is None:
-                fc = _fc(f, c, x)
-            self.current[key] = fc
-        return fc
-
-
-def _scan(f, c, x, candidates, value=_fc):
+def _scan(f, c, x, candidates):
     """(f, c) of x + v for each v in `candidates`, leaving x as it was.
 
-    Uncounted: the caller charges one evaluation per pair it uses.  Each
-    pair comes from `value(f, c, x)`: `_fc`, or a `ScanMemo`.
+    Uncounted: the caller charges one evaluation per pair it uses.
     """
     out = []
     for v in candidates:
         x[v] = 1
-        out.append(value(f, c, x))
+        out.append(_fc(f, c, x))
         x[v] = 0
     return out
+
+
+class _Epoch:
+    """The greedy rounds between two additions.
+
+    An epoch starts from x, with (f, c) of x as (fx, cx), over the
+    candidates V' in index order; `scan[i]` is the (f, c) of
+    x + candidates[i].  While x does not change a round's rescan would
+    return the same scan, so each round pops the next position of `order`:
+    the positions by descending marginal ratio, ties by index (a stable
+    sort), which is the first-maximum-by-index of one argmax pass per
+    round.  A NaN ratio is refused with a ValueError naming its element.
+    """
+
+    __slots__ = ("x", "fx", "cx", "candidates", "scan", "order")
+
+    def __init__(self, f, c, x, fx, cx, candidates):
+        self.x, self.fx, self.cx = x, fx, cx
+        self.candidates = candidates
+        self.scan = _scan(f, c, x, candidates)
+        ratios = []
+        for v, (fv, cv) in zip(candidates, self.scan):
+            dc, gain = cv - cx, fv - fx
+            ratio = (POS_INF if gain > 0 else 0.0) if dc == 0 else gain / dc
+            if ratio != ratio:
+                raise ValueError(f"greedy: the marginal ratio of element {v} "
+                                 f"is NaN (f = {fv}, cost = {cv})")
+            ratios.append(ratio)
+        self.order = sorted(range(len(ratios)), key=ratios.__getitem__,
+                            reverse=True)
+
+    def addition(self, budget):
+        """The index in `order` of the round that adds its element under
+        `budget`, the first whose x + v fits; None when no round does."""
+        scan = self.scan
+        for k, i in enumerate(self.order):
+            if scan[i][1] <= budget:
+                return k
+        return None
+
+    def charge(self, k):
+        """Evaluations of the rounds up to the addition at `k` (every round
+        when `k` is None): round j of the epoch rescans len(V') - j."""
+        m = len(self.candidates)
+        rounds = m if k is None else k + 1
+        return rounds * m - rounds * (rounds - 1) // 2
+
+
+def _walk(f, c, trace, budget, counter):
+    """Alg. 1 from the last epoch of `trace` on, under `budget`: each round
+    drops its element from V' and adds it when x + v fits.  An addition
+    opens a new epoch, scanned over the V' left, and appended to `trace`;
+    the walk ends at the epoch that adds nothing, which it returns.  Every
+    round is charged one evaluation per element of V', as a full rescan.
+    """
+    epoch = trace[-1]
+    while True:
+        k = epoch.addition(budget)
+        counter.increment(epoch.charge(k))
+        if k is None:
+            return epoch
+        popped = set(epoch.order[:k + 1])
+        i = epoch.order[k]
+        x = epoch.x.copy()
+        x[epoch.candidates[i]] = 1
+        rest = [v for j, v in enumerate(epoch.candidates) if j not in popped]
+        epoch = _Epoch(f, c, x, *epoch.scan[i], rest)
+        trace.append(epoch)
 
 
 def _with_best_singleton(x, fx, cx, singletons, budget, counter):
@@ -263,12 +306,13 @@ def _with_best_singleton(x, fx, cx, singletons, budget, counter):
     `singletons[v]` is the stored (f, c) of {v}; each feasible one is charged
     one evaluation.  Ties keep x, then the lowest element index.
     """
-    best_v, best_val = None, NEG_INF
+    best_v, best_val, feasible = None, NEG_INF, 0
     for v, (fv, cv) in enumerate(singletons):
         if cv <= budget:
-            counter.increment()
+            feasible += 1
             if fv > best_val:
                 best_v, best_val = v, fv
+    counter.increment(feasible)
     if best_v is not None and best_val > fx:
         bits = np.zeros(x.size, dtype=np.uint8)
         bits[best_v] = 1
@@ -276,57 +320,37 @@ def _with_best_singleton(x, fx, cx, singletons, budget, counter):
     return x, fx, cx
 
 
-def _greedy_extend(f, c, x_bits, budget, counter, value=_fc):
-    """Alg. 1 body: scan V', add the argmax marginal-ratio element when
-    feasible, and drop the argmax from V' regardless of feasibility.
+def _first_epoch(f, c, x_bits):
+    """The epoch of a fill from x_bits (copied), over every element not in
+    it; f and c are called on x_bits and on each x_bits + v."""
+    x = x_bits.copy()
+    return _Epoch(f, c, x, *_fc(f, c, x), np.flatnonzero(x == 0).tolist())
+
+
+def _greedy_extend(f, c, x_bits, budget, counter):
+    """Alg. 1 body from x_bits: scan V', add the argmax marginal-ratio
+    element when feasible, and drop the argmax from V' regardless of
+    feasibility, one `_Epoch` per addition (`_walk`).
 
     Every round is charged one evaluation per element of V', as in a full
-    rescan.  While x is unchanged (the argmax was infeasible), a rescan would
-    return the same (f, c) for every remaining element, so f and c are only
-    called again after an element is added.  Ties go to the lowest element
-    index either way.  Returns (x, f(x), c(x), first scan), the first scan
-    being the (f, c) of x_bits + v for every v in V' in index order; from
-    the empty set, these are the singletons.  `value` is passed on to
-    `_scan`.
+    rescan, but f and c are only called again after an element is added.
+    Ties go to the lowest element index.  Returns (x, f(x), c(x), first
+    scan), the first scan being the (f, c) of x_bits + v for every v in V'
+    in index order; from the empty set, these are the singletons.
     """
-    x = x_bits.copy()
-    remaining = np.flatnonzero(x == 0).tolist()
-    fx, cx = value(f, c, x)
-    counter.increment()
-    first = scan = None
-    while remaining:
-        if scan is None:
-            scan = _scan(f, c, x, remaining, value)
-            if first is None:
-                first = scan[:]
-            ratios = []
-            for fv, cv in scan:
-                dc = cv - cx
-                gain = fv - fx
-                ratios.append((POS_INF if gain > 0 else 0.0) if dc == 0
-                              else gain / dc)
-        counter.increment(len(remaining))
-        best_i, best_ratio = None, NEG_INF
-        for i, ratio in enumerate(ratios):
-            if ratio > best_ratio:  # ties: lowest element index wins
-                best_i, best_ratio = i, ratio
-        v = remaining.pop(best_i)
-        best_fv, best_cv = scan.pop(best_i)
-        del ratios[best_i]
-        if best_cv <= budget:
-            x[v] = 1
-            fx, cx = best_fv, best_cv
-            scan = None
-    return x, fx, cx, first or []
+    first = _first_epoch(f, c, x_bits)
+    counter.increment()  # x_bits itself
+    last = _walk(f, c, [first], budget, counter)
+    return last.x, last.fx, last.cx, first.scan
 
 
-def gga(f, c, budget, counter=None, value=_fc):
+def gga(f, c, budget, counter=None):
     """Generalized greedy: ratio-greedy fill, then compare with the best
     feasible singleton, read from the fill's first scan.  Returns
-    (bits, f, cost) of the answer; `value` is passed on to `_scan`."""
+    (bits, f, cost) of the answer."""
     counter = counter if counter is not None else EvalCounter()
     x, fx, cx, singletons = _greedy_extend(
-        f, c, np.zeros(f.n, dtype=np.uint8), budget, counter, value)
+        f, c, np.zeros(f.n, dtype=np.uint8), budget, counter)
     return _with_best_singleton(x, fx, cx, singletons, budget, counter)
 
 
@@ -356,19 +380,38 @@ class _Greedy(_Solver):
 
 
 class Gga(_Greedy):
-    """GGA under a moving budget: every change restarts `gga` from the
-    empty set.  A `ScanMemo` answers the scans that repeat the previous
-    change's, so they are charged but f and c are not called again."""
+    """GGA under a moving budget: every change answers what `gga` restarted
+    from the empty set answers, and is charged what it is charged.
+
+    The solver holds the epochs of its last fill (`_trace`).  A change
+    replays each epoch whose addition is the same under the new bound as
+    under the old, charging its rounds without calling f or c, and resumes
+    the walk at the first epoch whose addition differs: only the epochs
+    after it are scanned again.
+    """
 
     def __init__(self, f, c, budget):
         super().__init__(f, c, budget)
-        self._memo = ScanMemo()
+        self._trace = []  # the epochs of the fill under self.budget
 
     def set_budget(self, budget) -> None:
-        self.budget = _bound(budget)
-        self._memo.next_change()
-        self._answer = gga(self.f, self.c, self.budget, self.counter,
-                           self._memo)[1:]
+        b = _bound(budget)
+        f, c, counter, trace = self.f, self.c, self.counter, self._trace
+        if not trace:
+            trace.append(_first_epoch(f, c, np.zeros(self.n, dtype=np.uint8)))
+        counter.increment()  # the empty set, as `gga` charges it
+        e = 0
+        while e < len(trace) - 1:
+            k = trace[e].addition(b)
+            if k != trace[e].addition(self.budget):
+                break
+            counter.increment(trace[e].charge(k))
+            e += 1
+        del trace[e + 1:]
+        self.budget = b  # first, so a walk that raises leaves the trace valid
+        last = _walk(f, c, trace, b, counter)
+        self._answer = _with_best_singleton(last.x, last.fx, last.cx,
+                                            trace[0].scan, b, counter)[1:]
 
 
 class AdaptiveGreedy(_Greedy):

@@ -555,6 +555,14 @@ def _endpoints(texts, n, first):
     return ends
 
 
+def _node_count(text):
+    """The node count written as `text`, an integer >= 1."""
+    n = _number(int, text, "node count")
+    if n < 1:
+        raise ValueError(f"node count {n} is below 1")
+    return n
+
+
 def load_dimacs(path) -> DirectedGraph:
     """DIMACS clique format: `p edge n m` header, `e u v` lines, 1-indexed.
 
@@ -572,7 +580,7 @@ def load_dimacs(path) -> DirectedGraph:
                 if parts[0] == "p":
                     if len(parts) != 4 or parts[1] != "edge":
                         raise ValueError("malformed problem line")
-                    n = _number(int, parts[2], "node count")
+                    n = _node_count(parts[2])
                     m = _number(int, parts[3], "edge count")
                 elif parts[0] == "e":
                     if len(parts) != 3:
@@ -611,7 +619,7 @@ def load_edge_list(path, routing=False) -> DirectedGraph:
             if adjacency is None:
                 if len(parts) != 3 or parts[2] not in ("directed", "undirected"):
                     raise ValueError("header must be `n m directed|undirected`")
-                n = _number(int, parts[0], "node count")
+                n = _node_count(parts[0])
                 m = _number(int, parts[1], "edge count")
                 directed = parts[2] == "directed"
                 adjacency = [[] for _ in range(n)]

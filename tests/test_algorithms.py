@@ -7,15 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
-                               NoFeasibleMemberError, Nsga2, Pomc, ScanMemo,
+                               NoFeasibleMemberError, Nsga2, Pomc,
                                TooLargeError, _crowding, _eamc_g, _fronts,
                                _mutation_draws,
                                all_subsets, brute_force_front, brute_force_opt,
                                evaluate, gga, knapsack_opt_value)
 from dynsel.core import NEG_INF, EvalCounter, ObjectiveFn, phi_ratio, substream
-from dynsel.problems import (CardinalityCost, CoverageInstance, LinearCost,
-                             LinearObjective, gen_adversarial_knapsack,
-                             gen_bipartite_cover, gen_random_digraph,
+from dynsel.problems import (CardinalityCost, CoverageInstance,
+                             IcSpreadObjective, InfluenceInstance, LinearCost,
+                             LinearObjective, RoutingCost,
+                             gen_adversarial_knapsack, gen_bipartite_cover,
+                             gen_er_graph, gen_random_digraph, outdegree_cost,
                              random_linear_cost)
 
 from conftest import Calls, bits_of
@@ -202,17 +204,64 @@ class TestGga:
             assert solver.counter.count == plain.count
         assert f.calls - calls < 12  # the last scan mostly repeats earlier ones
 
-    def test_memo_keeps_two_changes(self):
-        f = Calls(LinearObjective([1.0, 2.0, 3.0]))
-        memo = ScanMemo()
-        x = bits_of(3, [1])
-        assert memo(f, CardinalityCost(3), x) == (2.0, 1.0)
-        memo.next_change()
-        assert memo(f, CardinalityCost(3), x) == (2.0, 1.0)  # from the previous
-        memo.next_change()
-        memo.next_change()  # two changes without x: dropped
-        memo(f, CardinalityCost(3), x)
-        assert f.calls == 2
+    def test_nan_ratio_is_refused_by_element(self):
+        class NanAtTwo(ObjectiveFn):
+            n = 4
+
+            def __call__(self, bits):
+                return math.nan if bits[2] else float(bits.sum())
+
+        with pytest.raises(ValueError, match="element 2 is NaN"):
+            gga(NanAtTwo(), CardinalityCost(4), 2.0)
+
+
+def _greedy_instance(kind, n, seed):
+    """(f, c) on n elements: coverage with an out-degree or a random-linear
+    cost, or influence spread with a routing cost, which is not monotone."""
+    rng = substream(seed, "gga-replay", kind)
+    g = gen_random_digraph(n, 0.3, rng)
+    if kind == "outdegree":
+        return CoverageInstance(g).objective, outdegree_cost(g, q=1)
+    if kind == "random-linear":
+        return CoverageInstance(g).objective, random_linear_cost(n, rng)
+    influence = InfluenceInstance(g, simulations=8,
+                                  routing_graph=gen_er_graph(n, 1.0, rng))
+    return IcSpreadObjective(influence, rng), RoutingCost(influence)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["outdegree", "random-linear", "routing"]),
+       n=st.integers(3, 11), seed=st.integers(0, 10_000),
+       walk=st.lists(st.tuples(st.sampled_from(["up", "down", "repeat",
+                                                "tested"]),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_gga_replay_equals_a_fresh_gga_at_every_change(kind, n, seed, walk):
+    """Over a budget walk of increases, decreases, repeated budgets and
+    budgets equal to a cost the last fill tested, `Gga` answers and counts
+    what a fresh `gga` does, and a repeated budget calls neither f nor c."""
+    f, c = _greedy_instance(kind, n, seed)
+    f, c = Calls(f), Calls(c)
+    span = float(c(np.ones(n, dtype=np.uint8))) / 2
+    solver = Gga(f, c, 0.0)
+    b = span / 2
+    for step, (move, u) in enumerate(walk):
+        if step:
+            if move == "up":
+                b += u * span
+            elif move == "down":
+                b = max(0.0, b - u * span)
+            elif move == "tested":
+                tested = sorted({cost for epoch in solver._trace
+                                 for _f, cost in epoch.scan})
+                b = tested[min(int(u * len(tested)), len(tested) - 1)]
+        fresh = EvalCounter()
+        want = gga(f, c, b, counter=fresh)[1:]
+        f_calls, c_calls, count = f.calls, c.calls, solver.counter.count
+        solver.set_budget(b)
+        assert solver.answer_value() == want
+        assert solver.counter.count - count == fresh.count
+        if step and move == "repeat":
+            assert (f.calls, c.calls) == (f_calls, c_calls)
 
 
 # ---------------------------------------------------------------------------

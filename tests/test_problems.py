@@ -450,6 +450,13 @@ class TestDimacs:
             load_dimacs(path)
         assert exc.value.lineno == 2
 
+    def test_node_count_below_one(self, tmp_path):
+        path = tmp_path / "empty.dimacs"
+        path.write_text("p edge 0 0\n")
+        with pytest.raises(GraphParseError,
+                           match=r"empty\.dimacs: line 1: node count 0 is below 1"):
+            load_dimacs(path)
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "mis.dimacs"
         path.write_text("p edge 3 2\ne 1 2\n")
@@ -510,6 +517,14 @@ class TestEdgeList:
         with pytest.raises(GraphParseError, match=message) as exc:
             load_edge_list(path, routing=True)
         assert exc.value.lineno == 3
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_node_count_below_one(self, tmp_path, n):
+        path = tmp_path / "empty.edges"
+        path.write_text(f"{n} 0 directed\n")
+        with pytest.raises(GraphParseError,
+                           match=rf"empty\.edges: line 1: node count {n} is below 1"):
+            load_edge_list(path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "mis.edges"
