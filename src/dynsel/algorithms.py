@@ -104,24 +104,9 @@ def _subsets_within(n, c, top):
             over[k] = 1
 
 
-def brute_force_opt(f, c, budget):
-    """(bits, value) of an exact maximizer of f over {X : c(X) <= budget} by
-    enumeration, n <= 24; the first maximizer in mask order."""
-    best_bits, best_val = None, NEG_INF
-    for bits, _cost in _subsets_within(f.n, c, budget):
-        val = float(f(bits))
-        if val > best_val:
-            best_bits, best_val = bits, val
-    if best_bits is None:
-        # c(empty) = 0, so this only happens for budget < 0
-        empty = np.zeros(f.n, dtype=np.uint8)
-        return empty, float(f(empty))
-    return best_bits.copy(), best_val
-
-
 def brute_force_front(f, c, budgets):
-    """Optimum value for each budget in `budgets` from a single enumeration
-    (NEG_INF for a budget nothing fits)."""
+    """Optimum value for each budget in `budgets` from a single enumeration,
+    n <= 24 (NEG_INF for a budget nothing fits)."""
     budgets = sorted(budgets)
     best = [NEG_INF] * len(budgets)
     top = budgets[-1] if budgets else NEG_INF
@@ -133,14 +118,14 @@ def brute_force_front(f, c, budgets):
     return dict(zip(budgets, best))
 
 
-def knapsack_opt_value(instance, budget) -> float:
-    """Exact optimum of a linear knapsack with integer item costs (0/1 DP).
+def knapsack_opt_value(f, c, budget) -> float:
+    """Exact optimum of a linear knapsack (0/1 DP) with item values
+    `f.values` and integer item costs `c.weights`.
 
     Independent of any greedy trace; used where enumeration is out of reach.
     """
-    costs = [c for (c, _v) in instance.items]
-    values = [v for (_c, v) in instance.items]
-    if any(c != int(c) for c in costs):
+    costs, values = c.weights.tolist(), f.values.tolist()
+    if any(cost != int(cost) for cost in costs):
         raise ValueError("DP oracle needs integer costs")
     cap = int(math.floor(budget))
     if cap < 0:
@@ -232,6 +217,20 @@ def _scan(f, c, x, candidates):
     return out
 
 
+def _ratio(v, fx, cx, fv, cv):
+    """The marginal ratio of element v, from a set with (f, c) = (fx, cx)
+    to the same set plus v, with (fv, cv): the gain in f per unit of cost,
+    +inf for a gain at no cost and 0 for no gain at no cost.  A removal
+    passes the two ends swapped, so its ratio is the loss per unit of cost
+    saved.  A NaN ratio is refused with a ValueError naming v."""
+    dc, gain = cv - cx, fv - fx
+    ratio = (POS_INF if gain > 0 else 0.0) if dc == 0 else gain / dc
+    if ratio != ratio:
+        raise ValueError(f"greedy: the marginal ratio of element {v} is NaN "
+                         f"(f {fx} -> {fv}, cost {cx} -> {cv})")
+    return ratio
+
+
 class _Epoch:
     """The greedy rounds between two additions.
 
@@ -239,9 +238,9 @@ class _Epoch:
     candidates V' in index order; `scan[i]` is the (f, c) of
     x + candidates[i].  While x does not change a round's rescan would
     return the same scan, so each round pops the next position of `order`:
-    the positions by descending marginal ratio, ties by index (a stable
-    sort), which is the first-maximum-by-index of one argmax pass per
-    round.  A NaN ratio is refused with a ValueError naming its element.
+    the positions by descending marginal ratio (`_ratio`), ties by index (a
+    stable sort), which is the first-maximum-by-index of one argmax pass
+    per round.
     """
 
     __slots__ = ("x", "fx", "cx", "candidates", "scan", "order")
@@ -250,14 +249,8 @@ class _Epoch:
         self.x, self.fx, self.cx = x, fx, cx
         self.candidates = candidates
         self.scan = _scan(f, c, x, candidates)
-        ratios = []
-        for v, (fv, cv) in zip(candidates, self.scan):
-            dc, gain = cv - cx, fv - fx
-            ratio = (POS_INF if gain > 0 else 0.0) if dc == 0 else gain / dc
-            if ratio != ratio:
-                raise ValueError(f"greedy: the marginal ratio of element {v} "
-                                 f"is NaN (f = {fv}, cost = {cv})")
-            ratios.append(ratio)
+        ratios = [_ratio(v, fx, cx, fv, cv)
+                  for v, (fv, cv) in zip(candidates, self.scan)]
         self.order = sorted(range(len(ratios)), key=ratios.__getitem__,
                             reverse=True)
 
@@ -434,7 +427,9 @@ class AdaptiveGreedy(_Greedy):
         self._singletons = None
 
     def _shrink(self, new_budget):
-        """Strip elements until x fits; returns (f, c) of the result."""
+        """Strip elements until x fits; returns (f, c) of the result.  Each
+        step removes the element of lowest marginal ratio (`_ratio` from
+        x - v to x), ties to the lowest index."""
         x = self.x
         fx, cx = self._value
         self.counter.increment()  # x itself, answered from its stored value
@@ -446,10 +441,8 @@ class AdaptiveGreedy(_Greedy):
                 scan.append(_fc(self.f, self.c, x))
                 x[v] = 1
             self.counter.increment(len(scan))
-            ratios = []
-            for fv, cv in scan:
-                dc, loss = cx - cv, fx - fv
-                ratios.append((POS_INF if loss > 0 else 0.0) if dc == 0 else loss / dc)
+            ratios = [_ratio(v, fv, cv, fx, cx)
+                      for v, (fv, cv) in zip(selected, scan)]
             best_i = ratios.index(min(ratios))  # ties: lowest index wins
             x[selected[best_i]] = 0
             fx, cx = scan[best_i]
@@ -521,18 +514,12 @@ class Pomc(_Solver):
     def __len__(self):
         return len(self._bits)
 
-    @property
-    def _f2(self):
-        """The second objective, -cost, of each member in cost order."""
-        return [-cost for cost in self._cost]
-
-    def _insert(self, child, f1, f2):
+    def _insert(self, child, f1, cost):
         """Add `child` unless the last member with cost <= its own, the only
         one that can, strictly dominates it (a -inf child fails against the
         cost-0 member).  It replaces the members it weakly dominates: the run
         from its cost on whose f1 is no higher than its own."""
         values, costs = self._f1, self._cost
-        cost = -f2
         i = bisect_right(costs, cost) - 1
         if values[i] > f1 or (values[i] == f1 and costs[i] < cost):
             return
@@ -556,8 +543,7 @@ class Pomc(_Solver):
         for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
             if flipped:
                 child = bits[int(u * len(bits))] ^ flips
-                f1, cost = evaluate(f, c, child, counter, cutoff)
-                insert(child, f1, -cost)
+                insert(child, *evaluate(f, c, child, counter, cutoff))
             else:
                 counter.increment()
 
@@ -579,11 +565,13 @@ class Pomc(_Solver):
 # EAMC
 
 
-def _eamc_g(fval, cost, size, alpha, budget):
-    """Budget-normalized surrogate; g(empty) = f(empty)."""
+def _eamc_g(fval, cost, size, budget):
+    """Budget-normalized surrogate f / (1 - e^(-c / B)), with the
+    submodularity ratio alpha_f = 1 of every objective dynsel builds;
+    g(empty) = f(empty)."""
     if size == 0:
         return fval
-    denom = 1.0 - math.exp(-alpha * cost / budget) if cost > 0 else 0.0
+    denom = 1.0 - math.exp(-cost / budget) if cost > 0 else 0.0
     if denom <= 0.0:
         return POS_INF if fval > 0 else fval
     return fval / denom
@@ -596,11 +584,8 @@ class Eamc(_Solver):
     the members that became infeasible.
     """
 
-    def __init__(self, f, c, budget, rng, alpha=1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, f, c, budget, rng):
         super().__init__(f, c, budget)
-        self.alpha = alpha
         self.rng = rng
         zeros = np.zeros(self.n, dtype=np.uint8)
         entry = (zeros, *evaluate(f, c, zeros, self.counter, self.budget))
@@ -619,7 +604,7 @@ class Eamc(_Solver):
         return len(self._members)
 
     def _g(self, fval, cost, size):
-        return _eamc_g(fval, cost, size, self.alpha, self.budget)
+        return _eamc_g(fval, cost, size, self.budget)
 
     def _insert(self, child, fval, cost) -> None:
         """Offer a feasible child to the bin of its size."""

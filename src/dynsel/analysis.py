@@ -47,8 +47,7 @@ def brute_force_baseline(f, c, budgets=()):
 
     The first call answers every budget in `budgets` and its own from one
     `brute_force_front` pass; a later budget not yet seen gets a pass of its
-    own.  Nothing fits a budget < 0; as in `brute_force_opt`, its value is
-    f of the empty set.
+    own.  Nothing fits a budget < 0; its value is f of the empty set.
     """
     cache = {}
 
@@ -62,18 +61,18 @@ def brute_force_baseline(f, c, budgets=()):
     return baseline
 
 
-def long_run_baseline(f, c, evals=100_000, seed=0, budgets=(), jobs=1):
+def long_run_baseline(f, c, evals=100_000, budgets=(), jobs=1):
     """Heuristic baseline: a long POMC run from scratch per distinct budget.
 
     The first call answers every budget in `budgets` and its own, split over
     up to `jobs` processes when their evals x budgets reach FORK_MIN_EVALS;
     a later budget not yet seen gets a run of its own.  Each run is seeded
-    by (seed, budget) alone, so its value does not depend on the split.
+    by its budget alone, so its value does not depend on the split.
     """
     cache = {}
 
     def solve(budget):
-        pomc = Pomc(f, c, budget, substream(seed, "baseline", budget))
+        pomc = Pomc(f, c, budget, substream(0, "baseline", budget))
         pomc.run(evals)
         return pomc.answer_value()[0]
 
@@ -240,9 +239,10 @@ class PhiReport:
         return all(ch.passed for ch in self.checks)
 
 
-def check_phi_approx(answer, f, c, budget, alpha=1.0, delta_c=None,
-                     optima=None) -> PhiReport:
-    """Check f(answer_b) >= phi * opt(b) for every b on the delta-cost grid.
+def check_phi_approx(answer, f, c, budget, optima=None) -> PhiReport:
+    """Check f(answer_b) >= phi * opt(b) for every b on the grid of steps
+    delta_c = `c.min_increment` up to `budget`, with phi at the
+    submodularity ratio alpha_f = 1 of every objective dynsel builds.
 
     `answer` is a callable b -> answer value, e.g. a solver's
     `lambda b: solver.answer_value(b)[0]`.  Optima come from exhaustive
@@ -251,7 +251,7 @@ def check_phi_approx(answer, f, c, budget, alpha=1.0, delta_c=None,
     precomputed `optima` mapping to reuse one enumeration across many
     trials on the same instance.
     """
-    delta_c = c.min_increment if delta_c is None else delta_c
+    delta_c = c.min_increment
     if delta_c <= 0:
         raise ValueError("need a positive minimum cost increment")
     grid = []
@@ -259,7 +259,7 @@ def check_phi_approx(answer, f, c, budget, alpha=1.0, delta_c=None,
     while b <= budget + 1e-12:
         grid.append(round(b, 12))
         b += delta_c
-    phi = phi_ratio(alpha)
+    phi = phi_ratio(1.0)
     if optima is None:
         optima = brute_force_front(f, c, grid)
     checks = []

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import sys
 import time
@@ -33,8 +34,8 @@ from .dynamics import (ALL_ALGORITHMS, SCHEDULE_KEYS, SCHEDULE_PRESETS,
                        load_schedule, planned_evals, preset_schedule,
                        read_run_csv, run_dynamic, save_schedule,
                        write_run_csv)
-from .problems import (CoverageInstance, DirectedGraph, GraphParseError,
-                       IcSpreadObjective, InfluenceInstance, bfs_reachable,
+from .problems import (DirectedGraph, GraphParseError, IcSpreadObjective,
+                       InfluenceInstance, SetCoverObjective, bfs_reachable,
                        gen_adversarial_knapsack, gen_ba_graph,
                        gen_bipartite_cover, gen_er_graph, gen_random_digraph,
                        load_dimacs, load_edge_list, make_cost,
@@ -63,6 +64,9 @@ EXPERIMENT_PRESETS = {
 
 # the config sections `run` and `analyze` read
 REQUIRED_SECTIONS = ("instance", "run", "schedule")
+
+# the name of a run file `dynsel run` writes: <algorithm>_s<seed>.csv
+RUN_FILE = re.compile(r"(?P<algorithm>[a-z0-9-]+)_s(?P<seed>-?[0-9]+)\.csv")
 
 # the config keys that name input files, relative to the config
 INPUT_KEYS = (("instance", "graph"), ("instance", "routing_graph"),
@@ -306,22 +310,21 @@ def build_instance(cfg, base_dir: Path):
         if "variant" in cost_sec:
             raise ValueError("[cost] variant: kind = adversarial-knapsack "
                              "carries its own linear cost; set no variant")
-        inst = gen_adversarial_knapsack(_instance_size(inst_sec, kind))
-        return inst.objective, inst.cost, {}
+        f, c = gen_adversarial_knapsack(_instance_size(inst_sec, kind))
+        return f, c, {}
 
     variant = cost_sec.get("variant", "cardinality")
     meta = {"cost_variant": variant}
     graph = None
     if kind == "bipartite-cover":
-        inst = gen_bipartite_cover(_instance_size(inst_sec, kind))
-        f = inst.objective
-        n = inst.n
+        f = gen_bipartite_cover(_instance_size(inst_sec, kind))
+        n = f.n
     elif kind in ("coverage", "influence"):
         graph = load_graph(_input_file(inst_sec, "graph", base_dir,
                                        f"for kind = {kind}"))
         n = graph.n
         if kind == "coverage":
-            f = CoverageInstance(graph).objective
+            f = SetCoverObjective.from_graph(graph)
         else:
             routing = None
             if inst_sec.get("routing_graph"):
@@ -526,8 +529,8 @@ def _baseline_evals(spec):
 
 def _read_manifest(path) -> dict:
     """A bundle's manifest, refused by key unless it holds what `analyze`
-    reads: a `files` list, a non-empty `seeds` list of integers and a
-    `config_hash` string."""
+    reads: a `files` list of run file names (`RUN_FILE`), a non-empty
+    `seeds` list of integers and a `config_hash` string."""
     manifest = json.loads(Path(path).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: the manifest is not a JSON object")
@@ -541,6 +544,11 @@ def _read_manifest(path) -> dict:
                 value and all(type(s) is int for s in value)):
             raise ValueError(f"{path}: the manifest's {key!r} must be {what}, "
                              f"got {value!r}")
+    for name in manifest["files"]:
+        match = isinstance(name, str) and RUN_FILE.fullmatch(name)
+        if not match or match["algorithm"] not in ALL_ALGORITHMS:
+            raise ValueError(f"{path}: the manifest's 'files' entry {name!r} "
+                             f"is not <algorithm>_s<seed>.csv")
     return manifest
 
 
@@ -561,7 +569,7 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"{results_dir / name}: the run file holds no "
                              f"records")
         alg = records[0].algorithm
-        seed = int(name.rsplit("_s", 1)[1].split(".")[0])
+        seed = int(RUN_FILE.fullmatch(name)["seed"])
         by_alg.setdefault(alg, {})[seed] = records
     if not by_alg:
         raise ValueError("no run files found")
@@ -649,7 +657,7 @@ def cmd_verify_theory(args) -> int:
 
     # phi-approximation of POMC on a small coverage instance
     graph = gen_random_digraph(10, 0.2, substream(args.seed, "verify", "phi"))
-    rep = pomc_phi_trial(CoverageInstance(graph).objective,
+    rep = pomc_phi_trial(SetCoverObjective.from_graph(graph),
                          make_cost("cardinality", n=10), 3.0,
                          substream(args.seed, "verify", "pomc"))
     report("pomc-phi-approximation", rep.all_pass,

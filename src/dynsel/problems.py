@@ -1,11 +1,13 @@
 """Concrete objectives, cost models, instance generators and file I/O.
 
 Two benchmark families are provided: maximum coverage over directed graphs
-(a node covers itself plus its out-neighbors) and influence maximization
-under the independent cascade model, which is coverage over fixed live-edge
-samples.  Both worst-case constructions used in
-the theoretical analysis (the adversarial knapsack and the bipartite cover
-graph) are generated exactly.
+(`SetCoverObjective.from_graph`: a node covers itself plus its
+out-neighbors) and influence maximization under the independent cascade
+model, which is coverage over fixed live-edge samples.  Both worst-case
+constructions used in the theoretical analysis are generated exactly, as
+the objects the solvers read: the adversarial knapsack as a
+(`LinearObjective`, `LinearCost`) pair and the bipartite cover graph as a
+`SetCoverObjective`.
 """
 
 from __future__ import annotations
@@ -46,11 +48,10 @@ class DirectedGraph:
 
     n: int
     adjacency: list  # per node: list of (target, prob, weight)
-    positions: np.ndarray | None = None  # (n, 2) in the unit plane
     directed: bool = True
 
     @classmethod
-    def from_edges(cls, n, edges, positions=None, directed=True):
+    def from_edges(cls, n, edges, directed=True):
         """edges: iterable of (u, v) or (u, v, p) or (u, v, p, w)."""
         adjacency = [[] for _ in range(n)]
         for e in edges:
@@ -64,7 +65,7 @@ class DirectedGraph:
             adjacency[u].append((v, p, w))
             if not directed:
                 adjacency[v].append((u, p, w))
-        return cls(n=n, adjacency=adjacency, positions=positions, directed=directed)
+        return cls(n=n, adjacency=adjacency, directed=directed)
 
     def out_neighbors(self, u):
         return [t for (t, _p, _w) in self.adjacency[u]]
@@ -110,6 +111,13 @@ class SetCoverObjective(ObjectiveFn):
             raise ValueError("covered element outside universe")
         return cls(sum(1 << e for e in s) for s in sets)
 
+    @classmethod
+    def from_graph(cls, graph):
+        """Maximum coverage over a directed graph: S_p = {p} | out(p), in
+        node order."""
+        return cls.from_sets(graph.n, ({p, *graph.out_neighbors(p)}
+                                       for p in range(graph.n)))
+
     def __call__(self, bits) -> float:
         selected = compress(self.masks, np.asarray(bits, dtype=np.uint8).tobytes())
         return float(reduce(or_, selected, 0).bit_count())
@@ -124,54 +132,6 @@ class LinearObjective(ObjectiveFn):
 
     def __call__(self, bits) -> float:
         return float(self.values @ bits)
-
-
-@dataclass
-class CoverageInstance:
-    """Maximum coverage over a directed graph: S_p = {p} | out-neighbors(p)."""
-
-    graph: DirectedGraph
-
-    def __post_init__(self):
-        g = self.graph
-        sets = [{p, *g.out_neighbors(p)} for p in range(g.n)]
-        self.objective = SetCoverObjective.from_sets(g.n, sets)
-
-    @property
-    def n(self):
-        return self.graph.n
-
-
-@dataclass
-class BipartiteCoverInstance:
-    """Selectable side U of a bipartite graph; f counts covered V-nodes."""
-
-    n: int  # |U|
-    universe_size: int  # |V|
-    cover_sets: list
-
-    def __post_init__(self):
-        self.objective = SetCoverObjective.from_sets(self.universe_size,
-                                                     self.cover_sets)
-
-
-@dataclass
-class KnapsackInstance:
-    """Linear objective and linear cost over a list of (cost, value) items."""
-
-    items: list  # (cost > 0, value >= 0)
-
-    def __post_init__(self):
-        costs = [c for (c, _v) in self.items]
-        values = [v for (_c, v) in self.items]
-        if any(c <= 0 for c in costs):
-            raise ValueError("item costs must be positive")
-        self.objective = LinearObjective(values)
-        self.cost = LinearCost(costs)
-
-    @property
-    def n(self):
-        return len(self.items)
 
 
 # Largest n * n * simulations bit footprint of the live-edge masks; larger
@@ -427,19 +387,21 @@ def make_cost(variant, *, n=None, graph=None, weights=None,
 # generators
 
 
-def gen_adversarial_knapsack(n: int) -> KnapsackInstance:
-    """Worst case for greedy adaptation under budget increases.
+def gen_adversarial_knapsack(n: int) -> tuple[LinearObjective, LinearCost]:
+    """Worst case for greedy adaptation under budget increases: (f, c) of a
+    linear knapsack.
 
-    n + 1 items: n/2 cheap low-value items (1, 1/n), n/2 items (2, 1) and a
-    special item (1, 3) that is optimal alone at B = 1.
+    n + 1 items (cost, value): n/2 cheap low-value items (1, 1/n), n/2
+    items (2, 1) and a special item (1, 3) that is optimal alone at B = 1.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be a positive even integer")
-    items = [(1.0, 1.0 / n)] * (n // 2) + [(2.0, 1.0)] * (n // 2) + [(1.0, 3.0)]
-    return KnapsackInstance(items)
+    half = n // 2
+    return (LinearObjective([1.0 / n] * half + [1.0] * half + [3.0]),
+            LinearCost([1.0] * half + [2.0] * half + [1.0]))
 
 
-def gen_bipartite_cover(n: int) -> BipartiteCoverInstance:
+def gen_bipartite_cover(n: int) -> SetCoverObjective:
     """Worst case for greedy adaptation under budget decreases.
 
     k = l = sqrt(n) disjoint subgraphs.  In each, hub u_1 covers the l-1
@@ -459,10 +421,10 @@ def gen_bipartite_cover(n: int) -> BipartiteCoverInstance:
         # u_j, j = 2..l: v_{2j-3}, v_{2j-2}
         for j in range(2, l + 1):
             cover_sets.append({base + (2 * j - 3) - 1, base + (2 * j - 2) - 1})
-    return BipartiteCoverInstance(n=n, universe_size=k * per_v, cover_sets=cover_sets)
+    return SetCoverObjective.from_sets(k * per_v, cover_sets)
 
 
-def gen_ba_graph(n: int, m: int = 2, rng=None, edge_prob: float = 0.1) -> DirectedGraph:
+def gen_ba_graph(n: int, m: int = 2, *, rng, edge_prob: float = 0.1) -> DirectedGraph:
     """Preferential-attachment social graph with m edges per new node.
 
     Barabasi-Albert growth from a star on m + 1 nodes: each new node draws
@@ -478,7 +440,6 @@ def gen_ba_graph(n: int, m: int = 2, rng=None, edge_prob: float = 0.1) -> Direct
         raise ValueError("need n >= 2")
     if m < 1:
         raise ValueError(f"need m >= 1 edges per new node, got m = {m}")
-    rng = rng if rng is not None else np.random.default_rng()
     m = min(m, n - 1)
     choice = random.Random(int(rng.integers(2**31))).choice
     pairs = [(0, v) for v in range(1, m + 1)]
@@ -498,17 +459,17 @@ def gen_ba_graph(n: int, m: int = 2, rng=None, edge_prob: float = 0.1) -> Direct
     return DirectedGraph.from_edges(n, edges, directed=True)
 
 
-def gen_er_graph(n: int, p: float, rng=None) -> DirectedGraph:
-    """Erdos-Renyi graph with planar positions and Euclidean edge weights.
+def gen_er_graph(n: int, p: float, rng) -> DirectedGraph:
+    """Erdos-Renyi graph with Euclidean edge weights.
 
-    Each unordered pair is an edge independently with probability p; nodes
-    are placed uniformly at random in the unit square.
+    Nodes are first placed uniformly at random in the unit square, then
+    each unordered pair is an edge independently with probability p,
+    weighted by the distance between its ends.  The positions are not kept.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
-    rng = rng if rng is not None else np.random.default_rng()
     positions = rng.random((n, 2))
     edges = []
     for u in range(n):
@@ -517,7 +478,7 @@ def gen_er_graph(n: int, p: float, rng=None) -> DirectedGraph:
             if draws[k] < p:
                 w = float(np.hypot(*(positions[u] - positions[v])))
                 edges.append((u, v, 1.0, w))
-    return DirectedGraph.from_edges(n, edges, positions=positions, directed=False)
+    return DirectedGraph.from_edges(n, edges, directed=False)
 
 
 def gen_random_digraph(n: int, p: float, rng, edge_prob: float = 0.1) -> DirectedGraph:
@@ -601,19 +562,19 @@ def load_dimacs(path) -> DirectedGraph:
 
 def load_edge_list(path, routing=False) -> DirectedGraph:
     """Edge-list format: header `n m directed|undirected`, then
-    `u v [p] [w]` lines, 0-indexed.  Optional `pos x y` lines carry node
-    positions in node order.  Each line is parsed and checked once, and a
-    fault is refused by file and line.  For a `routing` graph, whose
+    `u v [p] [w]` lines, 0-indexed.  Lines starting with `#` are comments,
+    and so are the `pos x y` node positions that files written before
+    version 0.4.0 carry.  Each line is parsed and checked once, and a fault
+    is refused by file and line.  For a `routing` graph, whose
     weights are route lengths, every edge needs a weight that is a finite
     number >= 0."""
     with open(path) as fh:
         lines = fh.readlines()
     adjacency = None
     found = 0
-    positions = []
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts or parts[0].startswith("#") or parts[0] == "pos":
             continue
         try:
             if adjacency is None:
@@ -623,10 +584,6 @@ def load_edge_list(path, routing=False) -> DirectedGraph:
                 m = _number(int, parts[1], "edge count")
                 directed = parts[2] == "directed"
                 adjacency = [[] for _ in range(n)]
-            elif parts[0] == "pos":
-                if len(parts) != 3:
-                    raise ValueError("pos line needs x and y")
-                positions.append([_number(float, x, "position") for x in parts[1:]])
             elif not 2 <= len(parts) <= 4:
                 raise ValueError("edge line needs `u v [p] [w]`")
             else:
@@ -650,10 +607,7 @@ def load_edge_list(path, routing=False) -> DirectedGraph:
         raise GraphParseError(path, "missing header line")
     if found != m:
         raise GraphParseError(path, f"header declares {m} edges, found {found}")
-    pos = np.asarray(positions) if positions else None
-    if pos is not None and len(pos) != n:
-        raise GraphParseError(path, f"expected {n} pos lines, found {len(pos)}")
-    return DirectedGraph(n, adjacency, positions=pos, directed=directed)
+    return DirectedGraph(n, adjacency, directed=directed)
 
 
 def save_edge_list(graph: DirectedGraph, path) -> None:
@@ -661,9 +615,6 @@ def save_edge_list(graph: DirectedGraph, path) -> None:
     with open(path, "w") as fh:
         kind = "directed" if graph.directed else "undirected"
         fh.write(f"{graph.n} {len(edges)} {kind}\n")
-        if graph.positions is not None:
-            for (x, y) in graph.positions:
-                fh.write(f"pos {float(x)!r} {float(y)!r}\n")
         for (u, v, p, w) in edges:
             if w is not None:
                 fh.write(f"{u} {v} {p!r} {w!r}\n")

@@ -28,15 +28,15 @@ def knapsack_increase_trace(n) -> Trace:
     """AdGGA at B = 1, where its fill takes the special item alone, then
     n/2 unit increases: the answer stays at 7/2 while the optimum grows to
     3 + n/4 (DP oracle)."""
-    inst = gen_adversarial_knapsack(n)
+    f, c = gen_adversarial_knapsack(n)
     budget = 1.0
-    solver = AdaptiveGreedy(inst.objective, inst.cost, budget)
+    solver = AdaptiveGreedy(f, c, budget)
     solver.set_budget(budget)
     for _ in range(n // 2):
         budget += 1.0
         solver.set_budget(budget)
-    return Trace(inst.objective, inst.cost, budget, solver.answer_value()[0],
-                 knapsack_opt_value(inst, budget))
+    return Trace(f, c, budget, solver.answer_value()[0],
+                 knapsack_opt_value(f, c, budget))
 
 
 def bipartite_decrease_trace(n) -> Trace:
@@ -44,13 +44,12 @@ def bipartite_decrease_trace(n) -> Trace:
     decreases down to sqrt(n): the answer collapses to 2 sqrt(n) against
     the optimum n - sqrt(n), which the sqrt(n) hub nodes attain."""
     k = math.isqrt(n)
-    inst = gen_bipartite_cover(n)
+    f = gen_bipartite_cover(n)
     cost = CardinalityCost(n)
-    solver = AdaptiveGreedy(inst.objective, cost, float(n))
+    solver = AdaptiveGreedy(f, cost, float(n))
     for b in range(n, k - 1, -1):
         solver.set_budget(float(b))
-    return Trace(inst.objective, cost, float(k), solver.answer_value()[0],
-                 float(n - k))
+    return Trace(f, cost, float(k), solver.answer_value()[0], float(n - k))
 
 
 def pomc_phi_trial(f, c, budget, rng, optima=None):
@@ -60,4 +59,4 @@ def pomc_phi_trial(f, c, budget, rng, optima=None):
     pomc = Pomc(f, c, budget, rng)
     pomc.run(25 * f.n * f.n * int(budget))
     return check_phi_approx(lambda b: pomc.answer_value(b)[0], f, c, budget,
-                            alpha=1.0, optima=optima)
+                            optima=optima)

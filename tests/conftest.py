@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynsel.core import substream
-from dynsel.problems import (CardinalityCost, CoverageInstance, DirectedGraph,
+from dynsel.problems import (CardinalityCost, DirectedGraph, SetCoverObjective,
                              gen_adversarial_knapsack)
 
 
@@ -16,13 +16,8 @@ def g3():
 
 
 @pytest.fixture
-def g3_coverage(g3):
-    return CoverageInstance(g3)
-
-
-@pytest.fixture
-def g3_objective(g3_coverage):
-    return g3_coverage.objective
+def g3_objective(g3):
+    return SetCoverObjective.from_graph(g3)
 
 
 @pytest.fixture
@@ -32,6 +27,7 @@ def card3():
 
 @pytest.fixture
 def knapsack4():
+    """(f, c) of the adversarial knapsack with n = 4."""
     return gen_adversarial_knapsack(4)
 
 

@@ -9,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynsel.algorithms import Eamc, Pomc, brute_force_front, brute_force_opt
+from dynsel.algorithms import Eamc, Pomc, brute_force_front
 from dynsel.analysis import (kruskal_wallis, long_run_baseline,
                              offline_errors, partial_offline_error)
 from dynsel.cli import main as cli_main
 from dynsel.core import phi_ratio, substream
 from dynsel.dynamics import gen_schedule, read_run_csv, run_dynamic
-from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             IcSpreadObjective, InfluenceInstance,
+from dynsel.problems import (CardinalityCost, IcSpreadObjective,
+                             InfluenceInstance, SetCoverObjective,
                              bfs_reachable, gen_ba_graph, gen_random_digraph,
                              outdegree_cost, random_linear_cost)
 from dynsel.theory import (bipartite_decrease_trace, knapsack_increase_trace,
@@ -42,8 +42,8 @@ def test_criterion_1_knapsack_increase_trace():
         trace = knapsack_increase_trace(n)
         got, opt = trace.value, trace.optimum
         if n + 1 <= 24:
-            _sol, enum = brute_force_opt(trace.objective, trace.cost,
-                                         trace.budget)
+            enum = brute_force_front(trace.objective, trace.cost,
+                                     [trace.budget])[trace.budget]
             ok = ok and enum == opt
         elapsed = time.perf_counter() - t0
         ok = ok and got == 3.5 and opt == 3 + n / 4 and elapsed < 1.0
@@ -68,7 +68,7 @@ def test_criterion_2_bipartite_decrease_trace():
         hubs = trace.objective(hub_bits)
         ok = ok and got == 2 * k and hubs == n - k == trace.optimum
         if n == 16:
-            _sol, opt = brute_force_opt(trace.objective, trace.cost, float(k))
+            opt = brute_force_front(trace.objective, trace.cost, [k])[k]
             ok = ok and opt == n - k
         details.append(f"n={n}: {got} vs {n - k}")
     elapsed = time.perf_counter() - t0
@@ -88,7 +88,7 @@ def test_criterion_3_pomc_phi_approximation():
         n = int(rng.integers(8, 15))
         budget = int(rng.integers(2, 5))
         graph = gen_random_digraph(n, 0.18, substream(inst_i, "c3-graph"))
-        f = CoverageInstance(graph).objective
+        f = SetCoverObjective.from_graph(graph)
         c = CardinalityCost(n)
         grid = [float(b) for b in range(budget + 1)]
         optima = brute_force_front(f, c, grid)
@@ -121,11 +121,11 @@ def test_criterion_4_gga_guarantee():
     for inst_i in range(50):
         n = int(rng.integers(6, 13))
         graph = gen_random_digraph(n, 0.2, substream(inst_i, "c4-graph"))
-        f = CoverageInstance(graph).objective
+        f = SetCoverObjective.from_graph(graph)
         for cost, budget in ((CardinalityCost(n), float(rng.integers(1, 5))),
                              (random_linear_cost(n, substream(inst_i, "c4-cost")),
                               float(rng.uniform(0.5, 2.0)))):
-            _sol, opt = brute_force_opt(f, cost, budget)
+            opt = brute_force_front(f, cost, [budget])[budget]
             got = gga(f, cost, budget)[1]
             if opt > 0:
                 worst = min(worst, got / opt)
@@ -144,7 +144,7 @@ def test_criterion_5_population_invariants():
     t0 = time.perf_counter()
     n = 16
     graph = gen_random_digraph(n, 0.2, substream(5, "c5-graph"))
-    f = CoverageInstance(graph).objective
+    f = SetCoverObjective.from_graph(graph)
     budgets = [4.0, 6.0, 2.0, 5.0, 3.0]
 
     pomc = Pomc(f, CardinalityCost(n), budgets[0], substream(6, "c5-pomc"))
@@ -224,9 +224,9 @@ def test_criterion_8_trend_reproduction():
     t0 = time.perf_counter()
     n = 30
     graph = gen_ba_graph(n, m=3, rng=substream(1, "c8-graph"), edge_prob=0.1)
-    f = CoverageInstance(graph).objective
+    f = SetCoverObjective.from_graph(graph)
     c = outdegree_cost(graph, q=6)
-    baseline = long_run_baseline(f, c, evals=60_000, seed=202)
+    baseline = long_run_baseline(f, c, evals=60_000)
 
     def full_range_error(alg, tau, seed):
         sched = gen_schedule(5, 2, 28, 5, 20, tau,

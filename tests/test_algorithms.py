@@ -10,12 +10,12 @@ from dynsel.algorithms import (AdaptiveGreedy, Eamc, Gga,
                                NoFeasibleMemberError, Nsga2, Pomc,
                                TooLargeError, _crowding, _eamc_g, _fronts,
                                _mutation_draws,
-                               all_subsets, brute_force_front, brute_force_opt,
-                               evaluate, gga, knapsack_opt_value)
+                               all_subsets, brute_force_front, evaluate, gga,
+                               knapsack_opt_value)
 from dynsel.core import NEG_INF, EvalCounter, ObjectiveFn, phi_ratio, substream
-from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             IcSpreadObjective, InfluenceInstance, LinearCost,
-                             LinearObjective, RoutingCost,
+from dynsel.problems import (CardinalityCost, IcSpreadObjective,
+                             InfluenceInstance, LinearCost, LinearObjective,
+                             RoutingCost, SetCoverObjective,
                              gen_adversarial_knapsack, gen_bipartite_cover,
                              gen_er_graph, gen_random_digraph, outdegree_cost,
                              random_linear_cost)
@@ -45,22 +45,19 @@ class TestEvaluate:
 
 class TestBruteForce:
     def test_g3_budget_one(self, g3_objective, card3):
-        bits, val = brute_force_opt(g3_objective, card3, 1.0)
-        assert val == 3.0 and bits.tolist() == [1, 0, 0]
+        assert brute_force_front(g3_objective, card3, [1.0]) == {1.0: 3.0}
 
     def test_adversarial_budget_three(self, knapsack4):
-        bits, val = brute_force_opt(knapsack4.objective, knapsack4.cost, 3.0)
-        assert val == 4.0  # 3 + n/4 at n=4
-        assert bits[4] == 1  # special item plus one (2,1) item
+        # the special item plus one (2, 1) item: 3 + n/4 at n = 4
+        assert brute_force_front(*knapsack4, [3.0]) == {3.0: 4.0}
 
     def test_zero_budget(self, g3_objective, card3):
-        bits, val = brute_force_opt(g3_objective, card3, 0.0)
-        assert bits.sum() == 0 and val == 0.0
+        assert brute_force_front(g3_objective, card3, [0.0]) == {0.0: 0.0}
 
     def test_cap(self):
         f = LinearObjective(np.ones(25))
         with pytest.raises(TooLargeError):
-            brute_force_opt(f, CardinalityCost(25), 3.0)
+            brute_force_front(f, CardinalityCost(25), [3.0])
 
     def test_subsets_in_mask_order(self):
         rows = list(all_subsets(13))  # two chunks of rows
@@ -71,21 +68,17 @@ class TestBruteForce:
     def test_front_matches_pointwise(self, g3_objective, card3):
         front = brute_force_front(g3_objective, card3, [0.0, 1.0, 2.0, 3.0])
         for b, val in front.items():
-            assert val == brute_force_opt(g3_objective, card3, b)[1]
+            assert {b: val} == brute_force_front(g3_objective, card3, [b])
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, 2.0, 3.0, 5.0])
     def test_knapsack_dp_agrees_with_enumeration(self, budget):
-        inst = gen_adversarial_knapsack(8)
-        dp = knapsack_opt_value(inst, budget)
-        _sol, enum = brute_force_opt(inst.objective, inst.cost, budget)
-        assert dp == enum
+        f, c = gen_adversarial_knapsack(8)
+        assert knapsack_opt_value(f, c, budget) == \
+            brute_force_front(f, c, [budget])[budget]
 
     def test_knapsack_dp_rejects_fractional_costs(self):
-        from dynsel.problems import KnapsackInstance
-
-        inst = KnapsackInstance([(0.5, 1.0)])
-        with pytest.raises(ValueError):
-            knapsack_opt_value(inst, 1.0)
+        with pytest.raises(ValueError, match="integer costs"):
+            knapsack_opt_value(LinearObjective([1.0]), LinearCost([0.5]), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
@@ -96,7 +89,7 @@ class TestBruteForce:
     def test_pruned_scan_matches_a_plain_enumeration(self, n, seed, linear,
                                                      budgets):
         rng = substream(seed, "pruned-scan")
-        f = CoverageInstance(gen_random_digraph(n, 0.3, rng)).objective
+        f = SetCoverObjective.from_graph(gen_random_digraph(n, 0.3, rng))
         c = random_linear_cost(n, rng) if linear else CardinalityCost(n)
         rows = [np.array([(k >> i) & 1 for i in range(n)], dtype=np.uint8)
                 for k in range(1 << n)]
@@ -106,16 +99,12 @@ class TestBruteForce:
         for b in budgets:
             fits = [k for k in range(1 << n) if costs[k] <= b]
             front[b] = max((values[k] for k in fits), default=NEG_INF)
-            first = max(fits, key=values.__getitem__, default=0)  # first maximizer
-            bits, val = brute_force_opt(f, c, b)
-            assert bits.tolist() == rows[first].tolist()
-            assert val == values[first]
         assert brute_force_front(f, c, budgets) == front
 
     def test_front_under_a_monotone_cost_prices_few_subsets(self):
         n, budgets = 13, [0.5, 1.0, 1.5, 2.0]
-        f = CoverageInstance(
-            gen_random_digraph(n, 0.2, substream(1, "prune-f"))).objective
+        f = SetCoverObjective.from_graph(
+            gen_random_digraph(n, 0.2, substream(1, "prune-f")))
         # the weights `dynsel generate random-costs --n 13 --seed 1` writes
         c = Calls(random_linear_cost(n, substream(1, "generate", "random-costs")))
         brute_force_front(f, c, budgets)
@@ -140,17 +129,17 @@ class TestGga:
         assert (fval, cost) == (g3_objective(bits), card3(bits)) == (3.0, 1.0)
 
     def test_adversarial_budget_one(self, knapsack4):
-        bits, _f, _cost = gga(knapsack4.objective, knapsack4.cost, 1.0)
+        bits, _f, _cost = gga(*knapsack4, 1.0)
         assert bits.nonzero()[0].tolist() == [4]
 
     def test_zero_budget(self, knapsack4):
-        bits, fval, cost = gga(knapsack4.objective, knapsack4.cost, 0.0)
+        bits, fval, cost = gga(*knapsack4, 0.0)
         assert bits.sum() == 0 and (fval, cost) == (0.0, 0.0)
 
     def test_result_feasible(self):
         for seed in range(5):
-            f = CoverageInstance(
-                gen_random_digraph(10, 0.2, substream(seed, "gga-f"))).objective
+            f = SetCoverObjective.from_graph(
+                gen_random_digraph(10, 0.2, substream(seed, "gga-f")))
             c = random_linear_cost(10, substream(seed, "gga-c"))
             bits, fval, cost = gga(f, c, 1.5)
             assert c(bits) == cost <= 1.5 and f(bits) == fval
@@ -159,10 +148,10 @@ class TestGga:
         phi = phi_ratio(1.0)
         for seed in range(10):
             n = 8 + seed % 5
-            f = CoverageInstance(
-                gen_random_digraph(n, 0.2, substream(seed, "gga-phi"))).objective
+            f = SetCoverObjective.from_graph(
+                gen_random_digraph(n, 0.2, substream(seed, "gga-phi")))
             c = CardinalityCost(n)
-            _sol, opt = brute_force_opt(f, c, 3.0)
+            opt = brute_force_front(f, c, [3.0])[3.0]
             got = gga(f, c, 3.0)[1]
             assert got >= phi * opt - 1e-9
 
@@ -189,9 +178,9 @@ class TestGga:
         assert sorted(perm[i] for i in bits2.nonzero()[0]) == \
                bits.nonzero()[0].tolist()
 
-    def test_memo_saves_calls_not_evaluations(self):
+    def test_replay_saves_calls_not_evaluations(self):
         g = gen_random_digraph(12, 0.25, substream(4, "gga-memo"))
-        f = Calls(CoverageInstance(g).objective)
+        f = Calls(SetCoverObjective.from_graph(g))
         c = random_linear_cost(12, substream(5, "gga-memo"))
         budgets = [1.0, 1.3, 0.9, 1.0, 1.4]
         plain = EvalCounter()
@@ -202,7 +191,9 @@ class TestGga:
             solver.set_budget(b)
             assert solver.answer_value() == want[1:]
             assert solver.counter.count == plain.count
-        assert f.calls - calls < 12  # the last scan mostly repeats earlier ones
+        # 1.0 -> 1.4 replays the epochs whose addition 1.4 leaves as it was,
+        # calling nothing, and scans only the epochs after the first it changes
+        assert f.calls - calls < 12
 
     def test_nan_ratio_is_refused_by_element(self):
         class NanAtTwo(ObjectiveFn):
@@ -221,9 +212,9 @@ def _greedy_instance(kind, n, seed):
     rng = substream(seed, "gga-replay", kind)
     g = gen_random_digraph(n, 0.3, rng)
     if kind == "outdegree":
-        return CoverageInstance(g).objective, outdegree_cost(g, q=1)
+        return SetCoverObjective.from_graph(g), outdegree_cost(g, q=1)
     if kind == "random-linear":
-        return CoverageInstance(g).objective, random_linear_cost(n, rng)
+        return SetCoverObjective.from_graph(g), random_linear_cost(n, rng)
     influence = InfluenceInstance(g, simulations=8,
                                   routing_graph=gen_er_graph(n, 1.0, rng))
     return IcSpreadObjective(influence, rng), RoutingCost(influence)
@@ -270,7 +261,7 @@ def test_gga_replay_equals_a_fresh_gga_at_every_change(kind, n, seed, walk):
 
 class TestAdaptiveGreedy:
     def test_adversarial_increase_trace(self, knapsack4):
-        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        solver = AdaptiveGreedy(*knapsack4, 1.0)
         solver.set_budget(1.0)  # the fill takes the special item alone
         assert solver.x.nonzero()[0].tolist() == [4]
         values = []
@@ -281,15 +272,14 @@ class TestAdaptiveGreedy:
         assert sorted(solver.x.nonzero()[0].tolist()) == [0, 1, 4]
 
     def test_unchanged_budget_keeps_state(self, knapsack4):
-        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        solver = AdaptiveGreedy(*knapsack4, 1.0)
         solver.set_budget(1.0)
         before = solver.x.copy()
         solver.set_budget(1.0)
         assert np.array_equal(solver.x, before)
 
     def test_bipartite_decrease(self):
-        inst = gen_bipartite_cover(16)
-        solver = AdaptiveGreedy(inst.objective, CardinalityCost(16), 16.0)
+        solver = AdaptiveGreedy(gen_bipartite_cover(16), CardinalityCost(16), 16.0)
         solver.set_budget(16.0)  # the fill takes the full set
         assert solver.x.sum() == 16
         for b in range(15, 3, -1):
@@ -306,11 +296,28 @@ class TestAdaptiveGreedy:
         assert solver.answer_value() == (3.0, 2.0)
         assert solver.x.nonzero()[0].tolist() == [0]
 
+    def test_nan_ratio_in_a_strip_is_refused_by_element(self):
+        # the fill reaches {0, 1, 2, 3} without calling f on a 3-set that
+        # lacks element 0; the strip's first scan removes 0 and sees NaN
+        class NanWithoutZero(ObjectiveFn):
+            n = 4
+
+            def __call__(self, bits):
+                if bits.sum() == 3 and not bits[0]:
+                    return math.nan
+                return float(bits.sum())
+
+        solver = AdaptiveGreedy(NanWithoutZero(), CardinalityCost(4), 4.0)
+        solver.set_budget(4.0)
+        assert solver.answer_value() == (4.0, 4.0)
+        with pytest.raises(ValueError, match="element 0 is NaN"):
+            solver.set_budget(3.0)
+
     def test_answer_feasible_after_decrease(self):
         for seed in range(5):
             n = 10
-            f = CoverageInstance(
-                gen_random_digraph(n, 0.25, substream(seed, "ad-f"))).objective
+            f = SetCoverObjective.from_graph(
+                gen_random_digraph(n, 0.25, substream(seed, "ad-f")))
             c = random_linear_cost(n, substream(seed, "ad-c"))
             solver = AdaptiveGreedy(f, c, 3.0)
             for b in (3.0, 2.0, 1.0, 0.5):
@@ -319,7 +326,7 @@ class TestAdaptiveGreedy:
                 assert cost <= b + 1e-12
 
     def test_answers_only_its_current_bound(self, knapsack4):
-        solver = AdaptiveGreedy(knapsack4.objective, knapsack4.cost, 1.0)
+        solver = AdaptiveGreedy(*knapsack4, 1.0)
         with pytest.raises(NoFeasibleMemberError):
             solver.answer_value()  # no change made yet
         solver.set_budget(1.0)
@@ -345,23 +352,23 @@ class TestPomc:
         f1, cost = evaluate(g3_objective, card3, bits_of(3, [0, 1, 2]),
                             p.counter, p.budget + 1)  # cost 3 > B+1
         assert f1 == NEG_INF
-        p._insert(bits_of(3, [0, 1, 2]), f1, -cost)
+        p._insert(bits_of(3, [0, 1, 2]), f1, cost)
         assert len(p) == 1  # dominated by the all-zeros member
 
     def test_duplicate_vector_newcomer_wins(self, g3_objective, card3):
         p = self.make(g3_objective, card3)
         a = bits_of(3, [1])
         b = bits_of(3, [2])  # same (f=1, cost=1) vector
-        p._insert(a, 1.0, -1.0)
-        p._insert(b, 1.0, -1.0)
+        p._insert(a, 1.0, 1.0)
+        p._insert(b, 1.0, 1.0)
         members = [bits.tolist() for bits in p._bits]
         assert b.tolist() in members and a.tolist() not in members
 
     def test_g3_front_and_answers(self, g3_objective, card3):
         p = self.make(g3_objective, card3, budget=3.0)
         p.run(500)
-        vectors = sorted(zip(p._f1, p._f2))
-        assert (0.0, 0.0) in vectors and (3.0, -1.0) in vectors
+        vectors = sorted(zip(p._f1, p._cost))
+        assert (0.0, 0.0) in vectors and (3.0, 1.0) in vectors
         assert p.answer_value(1.0) == (3.0, 1.0)  # {0}, the only value-3 single
         assert p.answer_value(0.0) == (0.0, 0.0)
 
@@ -380,11 +387,11 @@ class TestPomc:
         p = self.make(g3_objective, card3, budget=3.0)
         p.run(200)
         count = p.counter.count
-        state = [(b.tobytes(), f1, f2)
-                 for b, f1, f2 in zip(p._bits, p._f1, p._f2)]
+        state = [(b.tobytes(), f1, cost)
+                 for b, f1, cost in zip(p._bits, p._f1, p._cost)]
         p.set_budget(1.0)
-        after = [(b.tobytes(), f1, f2)
-                 for b, f1, f2 in zip(p._bits, p._f1, p._f2)]
+        after = [(b.tobytes(), f1, cost)
+                 for b, f1, cost in zip(p._bits, p._f1, p._cost)]
         assert p.counter.count == count and state == after
 
     def test_evaluation_count_equals_steps(self, g3_objective, card3):
@@ -468,7 +475,7 @@ class TestZeroFlip:
 
     def instance(self):
         g = gen_random_digraph(self.N, 0.3, substream(2, "zero-flip"))
-        f = CoverageInstance(g).objective
+        f = SetCoverObjective.from_graph(g)
         c = random_linear_cost(self.N, substream(3, "zero-flip"))
         return Calls(f), Calls(c)
 
@@ -506,8 +513,8 @@ class TestZeroFlip:
         f, c = Calls(LinearObjective([1.0, 2.0, 4.0])), Calls(CardinalityCost(3))
         p = Pomc(f, c, 3.0, substream(13, "zero-flip"))
         p.run(400)
-        assert sorted(zip(p._f1, p._f2)) == [(0.0, 0.0), (4.0, -1.0),
-                                             (6.0, -2.0), (7.0, -3.0)]
+        assert sorted(zip(p._f1, p._cost)) == [(0.0, 0.0), (4.0, 1.0),
+                                               (6.0, 2.0), (7.0, 3.0)]
         return p, f, c
 
     @pytest.mark.parametrize("parent_cost", [3.0, 2.0])
@@ -561,21 +568,16 @@ class TestZeroFlip:
 
 
 class TestEamc:
-    def make(self, f, c, budget=2.0, seed=0, alpha=1.0):
-        return Eamc(f, c, budget, substream(seed, "eamc"), alpha=alpha)
+    def make(self, f, c, budget=2.0, seed=0):
+        return Eamc(f, c, budget, substream(seed, "eamc"))
 
     def test_g_numeric(self):
-        assert _eamc_g(3.0, 1.0, 1, 1.0, 1.0) == pytest.approx(
+        assert _eamc_g(3.0, 1.0, 1, 1.0) == pytest.approx(
             3.0 / (1.0 - math.exp(-1.0)), abs=1e-4)
-        assert _eamc_g(3.0, 1.0, 1, 1.0, 1.0) == pytest.approx(4.7464, abs=1e-3)
+        assert _eamc_g(3.0, 1.0, 1, 1.0) == pytest.approx(4.7464, abs=1e-3)
 
     def test_g_of_empty_is_f(self):
-        assert _eamc_g(0.0, 0.0, 0, 1.0, 2.0) == 0.0
-
-    def test_invalid_alpha(self, g3_objective, card3):
-        for alpha in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                self.make(g3_objective, card3, alpha=alpha)
+        assert _eamc_g(0.0, 0.0, 0, 2.0) == 0.0
 
     def test_infeasible_offspring_ignored(self, g3_objective, card3):
         e = self.make(g3_objective, card3, budget=0.0)
@@ -613,16 +615,16 @@ class TestEamc:
         assert e.answer_value() == (0.0, 0.0)
 
     def test_zero_budget_with_zero_cost_element(self):
-        # g's exp(-alpha * c / B) is 0 / 0 for a zero-cost member at B = 0
+        # g's exp(-c / B) is 0 / 0 for a zero-cost member at B = 0
         f = LinearObjective([1.0, 2.0, 3.0])
         e = self.make(f, LinearCost([0.0, 1.0, 1.0]), budget=0.0)
         e.run(200)
         assert e.answer_value() == (1.0, 0.0)
-        assert _eamc_g(1.0, 0.0, 1, 1.0, 0.0) == math.inf
+        assert _eamc_g(1.0, 0.0, 1, 0.0) == math.inf
 
     def test_population_cap_and_feasibility(self, g3_objective):
         n = 12
-        f = CoverageInstance(gen_random_digraph(n, 0.2, substream(1, "ec"))).objective
+        f = SetCoverObjective.from_graph(gen_random_digraph(n, 0.2, substream(1, "ec")))
         c = random_linear_cost(n, substream(2, "ec"))
         e = Eamc(f, c, 2.0, substream(3, "ec"))
         for _ in range(500):
@@ -778,8 +780,8 @@ class TestNsga2:
         """The constructor's pop_size seed copies are one individual: every
         surviving copy has one rank and one crowding distance."""
         n = 10
-        f = CoverageInstance(
-            gen_random_digraph(n, 0.2, substream(seed, "ns-seed"))).objective
+        f = SetCoverObjective.from_graph(
+            gen_random_digraph(n, 0.2, substream(seed, "ns-seed")))
         c = random_linear_cost(n, substream(seed, "ns-seed-c"))
         solver = Nsga2(f, c, 1.0, substream(seed, "ns-seed-run"),
                        delta_cap=0.5)
@@ -794,7 +796,7 @@ class TestNsga2:
 
     def test_elitism_best_feasible_non_decreasing(self):
         n = 10
-        f = CoverageInstance(gen_random_digraph(n, 0.2, substream(4, "ns"))).objective
+        f = SetCoverObjective.from_graph(gen_random_digraph(n, 0.2, substream(4, "ns")))
         c = random_linear_cost(n, substream(5, "ns"))
         solver = Nsga2(f, c, 1.5, substream(6, "ns"), delta_cap=0.5)
         best = solver.answer_value()[0]
@@ -825,7 +827,7 @@ class TestNsga2:
         The draws are taken here as three `random` calls, the stream of
         `_make_offspring`'s one."""
         n = 12
-        f = CoverageInstance(gen_random_digraph(n, 0.2, substream(7, "ns"))).objective
+        f = SetCoverObjective.from_graph(gen_random_digraph(n, 0.2, substream(7, "ns")))
         solver = Nsga2(f, random_linear_cost(n, substream(8, "ns")), 1.5,
                        substream(9, "ns"), delta_cap=0.5)
         solver.run(60)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynsel.algorithms import Pomc, brute_force_front, brute_force_opt
+from dynsel.algorithms import Pomc, brute_force_front
 from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              brute_force_baseline, check_phi_approx,
                              chi2_sf, format_marks,
@@ -11,7 +11,7 @@ from dynsel.analysis import (ErrorSeries, _ranks, bonferroni_posthoc,
                              partial_offline_error)
 from dynsel.core import substream
 from dynsel.dynamics import BudgetSchedule, run_dynamic
-from dynsel.problems import (CardinalityCost, CoverageInstance,
+from dynsel.problems import (CardinalityCost, SetCoverObjective,
                              gen_random_digraph, random_linear_cost)
 
 
@@ -49,7 +49,7 @@ class TestPartialOfflineError:
 
 class TestOfflineErrors:
     def test_brute_force_baseline_non_negative(self):
-        f = CoverageInstance(gen_random_digraph(8, 0.25, substream(0, "oe"))).objective
+        f = SetCoverObjective.from_graph(gen_random_digraph(8, 0.25, substream(0, "oe")))
         c = CardinalityCost(8)
         s = BudgetSchedule(2.0, 1.0, 4.0, [1.0, -1.0, 1.0, 1.0], tau=100, r=1.0)
         records = run_dynamic("eamc", f, c, s, seed=1)
@@ -60,13 +60,16 @@ class TestOfflineErrors:
     @pytest.mark.parametrize("seed", range(3))
     def test_one_pass_baseline_matches_per_budget_opt(self, seed):
         n = 9
-        f = CoverageInstance(gen_random_digraph(n, 0.25, substream(seed, "bl"))).objective
+        f = SetCoverObjective.from_graph(
+            gen_random_digraph(n, 0.25, substream(seed, "bl")))
         c = random_linear_cost(n, substream(seed, "bl-cost"))
         budgets = [-0.5, 0.0, 0.05, 0.4, 0.4000000000000001, 1.0, 2.5, 10.0]
         one_pass = brute_force_baseline(f, c, budgets)
+        # nothing fits -0.5, which the baseline answers with f(empty)
+        empty = f(np.zeros(n, dtype=np.uint8))
         # 0.7 is not among the budgets given: enumerated on its own
         for b in budgets + [0.7]:
-            assert one_pass(b) == brute_force_opt(f, c, b)[1]
+            assert one_pass(b) == max(brute_force_front(f, c, [b])[b], empty)
 
 
 # ---------------------------------------------------------------------------

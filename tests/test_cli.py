@@ -742,6 +742,33 @@ class TestErrors:
         assert capsys.readouterr().err == f"dynsel: error: {path}: {message}\n"
         assert not (tmp_path / "results" / "report.csv").exists()
 
+    @pytest.mark.parametrize("entry", ["gga.csv", "gga_s.csv", "gga_s1.txt",
+                                       "greedy_s1.csv", "../gga_s0.csv", 7,
+                                       None])
+    def test_malformed_manifest_entry_refused_by_entry(self, tmp_path, capsys,
+                                                       entry):
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=0, count=2)
+        run_cli("run", "--config", config)
+        path = tmp_path / "results" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["files"].append(entry)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {path}: the manifest's 'files' entry {entry!r} "
+            f"is not <algorithm>_s<seed>.csv\n")
+        assert not (tmp_path / "results" / "report.csv").exists()
+
+    def test_negative_seed_run_file_is_read(self, tmp_path):
+        config = write_config(tmp_path, algorithms="gga,pomc", seeds="-1,3",
+                              tau=5, count=2)
+        assert run_cli("run", "--config", config) == 0
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert "gga_s-1.csv" in manifest["files"]
+        assert run_cli("analyze", "--results", tmp_path / "results") == 0
+
     @pytest.mark.parametrize("outside", [False, True])
     def test_input_outside_the_config_directory_refused(
             self, tmp_path, capsys, outside):

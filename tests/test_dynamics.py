@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dynsel.algorithms import brute_force_opt
+from dynsel.algorithms import brute_force_front
 from dynsel.core import substream
 from dynsel.dynamics import (BudgetSchedule, gen_schedule, load_schedule,
                              make_solver, preset_schedule, read_run_csv,
                              run_dynamic, save_schedule, write_run_csv)
-from dynsel.problems import (CardinalityCost, CoverageInstance,
+from dynsel.problems import (CardinalityCost, SetCoverObjective,
                              gen_adversarial_knapsack, gen_random_digraph,
                              random_linear_cost)
 
@@ -129,7 +129,8 @@ class TestSchedules:
 
 
 def coverage_setup(n=8, seed=0):
-    f = CoverageInstance(gen_random_digraph(n, 0.25, substream(seed, "dyn"))).objective
+    f = SetCoverObjective.from_graph(
+        gen_random_digraph(n, 0.25, substream(seed, "dyn")))
     c = CardinalityCost(n)
     return f, c
 
@@ -150,7 +151,8 @@ class TestRunDynamic:
         assert [r.budget for r in records] == s.budgets()
 
     def test_records_feasible(self):
-        f = CoverageInstance(gen_random_digraph(8, 0.25, substream(3, "feas"))).objective
+        f = SetCoverObjective.from_graph(
+            gen_random_digraph(8, 0.25, substream(3, "feas")))
         c = random_linear_cost(8, substream(4, "feas"))
         s = BudgetSchedule(1.0, 0.0, 3.0, [0.1, -0.1] * 5, tau=100, r=0.1)
         for alg in ("gga", "adgga", "pomc", "eamc", "nsga2"):
@@ -179,9 +181,9 @@ class TestRunDynamic:
         assert all(r.best_f == 0.0 for r in records)
 
     def test_adgga_adversarial_trace(self):
-        inst = gen_adversarial_knapsack(4)
+        f, c = gen_adversarial_knapsack(4)
         s = BudgetSchedule(1.0, 1.0, 3.0, [1.0, 1.0], tau=0, r=1.0)
-        records = run_dynamic("adgga", inst.objective, inst.cost, s, seed=0)
+        records = run_dynamic("adgga", f, c, s, seed=0)
         assert [r.best_f for r in records] == [3.0, 3.25, 3.5]
 
     def test_gga_rerun_per_budget_matches_static(self):
@@ -212,7 +214,8 @@ class TestRunDynamic:
         s = BudgetSchedule(2.0, 1.0, 3.0, [1.0], tau=10_000, r=1.0)
         records = run_dynamic("pomc-wp", g3_objective, card3, s, seed=1,
                               params={"warmup_evals": 10_000})
-        _opt_sol, opt = brute_force_opt(g3_objective, card3, records[-1].budget)
+        budget = records[-1].budget
+        opt = brute_force_front(g3_objective, card3, [budget])[budget]
         assert records[-1].best_f == opt
 
 

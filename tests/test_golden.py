@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from dynsel.algorithms import Pomc, _greedy_extend, evaluate
 from dynsel.core import NEG_INF, POS_INF, EvalCounter, substream
 from dynsel.dynamics import ALL_ALGORITHMS, BudgetSchedule, run_dynamic
-from dynsel.problems import (CardinalityCost, CoverageInstance,
-                             IcSpreadObjective, InfluenceInstance, RoutingCost,
+from dynsel.problems import (CardinalityCost, IcSpreadObjective,
+                             InfluenceInstance, RoutingCost, SetCoverObjective,
                              gen_er_graph, gen_random_digraph, outdegree_cost,
                              random_linear_cost)
 
@@ -40,7 +40,7 @@ def _outdegree_instance():
     schedule = BudgetSchedule(b_init=8.0, b_min=3.0, b_max=14.0,
                               deltas=[3.0, -4.0, 2.0, -5.0, 4.0, 1.0],
                               tau=37, r=5.0)
-    return CoverageInstance(g).objective, outdegree_cost(g, q=2), schedule
+    return SetCoverObjective.from_graph(g), outdegree_cost(g, q=2), schedule
 
 
 def _random_linear_instance():
@@ -49,7 +49,7 @@ def _random_linear_instance():
     schedule = BudgetSchedule(b_init=1.0, b_min=0.2, b_max=2.5,
                               deltas=[0.3, -0.5, 0.2, -0.4, 0.6],
                               tau=23, r=0.6)
-    return CoverageInstance(g).objective, c, schedule
+    return SetCoverObjective.from_graph(g), c, schedule
 
 
 def _influence_routing_instance():
@@ -288,7 +288,7 @@ def test_greedy_extend_matches_naive_rescan(seed):
     rng = substream(seed, "golden", "greedy")
     n = int(rng.integers(4, 19))
     g = gen_random_digraph(n, float(rng.uniform(0.05, 0.4)), rng)
-    f = CoverageInstance(g).objective
+    f = SetCoverObjective.from_graph(g)
     c = (outdegree_cost(g, q=int(rng.integers(0, 3))) if seed % 2
          else random_linear_cost(n, rng))
     start = (rng.random(n) < 0.2).astype(np.uint8)
@@ -373,7 +373,7 @@ def test_pomc_population_matches_two_walk_insert(n, cost, seed, walk):
     [0, c(V)] the answer is the best member that fits."""
     rng = substream(seed, "golden", "population")
     g = gen_random_digraph(n, float(rng.uniform(0.1, 0.5)), rng)
-    f, c = CoverageInstance(g).objective, COSTS[cost](g, rng)
+    f, c = SetCoverObjective.from_graph(g), COSTS[cost](g, rng)
     total = float(c(np.ones(n, dtype=np.uint8)))
     got = Pomc(f, c, walk[0][0] * total, substream(seed, "golden", "pomc"))
     want = Pomc(f, c, walk[0][0] * total, substream(seed, "golden", "pomc"))
@@ -393,8 +393,8 @@ def test_pomc_population_matches_two_walk_insert(n, cost, seed, walk):
 
 def _pomc_at_100(budget):
     g = gen_random_digraph(100, 0.05, substream(9, "golden", "blocks"))
-    return Pomc(CoverageInstance(g).objective, outdegree_cost(g, q=2), budget,
-                substream(9, "golden", "blocks", "pomc"))
+    return Pomc(SetCoverObjective.from_graph(g), outdegree_cost(g, q=2),
+                budget, substream(9, "golden", "blocks", "pomc"))
 
 
 def test_pomc_blocked_draws_match_whole_chunk_draws():

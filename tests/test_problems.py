@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynsel.algorithms import brute_force_front, brute_force_opt
+from dynsel.algorithms import brute_force_front
 from dynsel.core import CostFn, substream
-from dynsel.problems import (CardinalityCost, CoverageInstance, DirectedGraph,
+from dynsel.problems import (CardinalityCost, DirectedGraph,
                              DisconnectedSelectionError, GraphParseError,
                              InfluenceInstance, IcSpreadObjective, LinearCost,
-                             LinearObjective, RoutingCost, bfs_reachable,
-                             gen_adversarial_knapsack, gen_ba_graph,
-                             gen_bipartite_cover, gen_er_graph,
-                             gen_random_digraph, load_dimacs,
-                             load_edge_list, make_cost, outdegree_cost,
-                             random_linear_cost, save_edge_list)
+                             LinearObjective, RoutingCost, SetCoverObjective,
+                             bfs_reachable, gen_adversarial_knapsack,
+                             gen_ba_graph, gen_bipartite_cover, gen_er_graph,
+                             gen_random_digraph, load_dimacs, load_edge_list,
+                             make_cost, outdegree_cost, random_linear_cost,
+                             save_edge_list)
 
 from conftest import bits_of
 
@@ -63,7 +63,7 @@ class TestCoverage:
                                   substream(99, "ic"))
         else:
             g = gen_random_digraph(n, 0.25, substream(case, "sub"))
-            f = CoverageInstance(g).objective
+            f = SetCoverObjective.from_graph(g)
         vals = {}
         for mask in range(1 << n):
             bits = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.uint8)
@@ -317,7 +317,6 @@ class TestCosts:
         # a front pruned at the over-budget {0, 1, 2, 3} would answer 4.0
         f = LinearObjective([1.0] * 5)
         assert brute_force_front(f, c, [17.5]) == {17.5: 5.0}
-        assert brute_force_opt(f, c, 17.5)[1] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +325,20 @@ class TestCosts:
 
 class TestAdversarialKnapsack:
     def test_n4_items(self):
-        inst = gen_adversarial_knapsack(4)
-        assert inst.items == [(1.0, 0.25), (1.0, 0.25), (2.0, 1.0), (2.0, 1.0),
-                              (1.0, 3.0)]
+        f, c = gen_adversarial_knapsack(4)
+        assert f.values.tolist() == [0.25, 0.25, 1.0, 1.0, 3.0]
+        assert c.weights.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0]
 
     def test_n2_items(self):
-        inst = gen_adversarial_knapsack(2)
-        assert inst.items == [(1.0, 0.5), (2.0, 1.0), (1.0, 3.0)]
+        f, c = gen_adversarial_knapsack(2)
+        assert f.values.tolist() == [0.5, 1.0, 3.0]
+        assert c.weights.tolist() == [1.0, 2.0, 1.0]
 
     def test_optimum_at_unit_budget_is_special_item(self):
-        from dynsel.algorithms import brute_force_opt
-
-        inst = gen_adversarial_knapsack(4)
-        bits, val = brute_force_opt(inst.objective, inst.cost, 1.0)
-        assert val == 3.0 and bits.nonzero()[0].tolist() == [4]
+        f, c = gen_adversarial_knapsack(4)
+        special = bits_of(5, [4])
+        assert brute_force_front(f, c, [1.0]) == {1.0: 3.0}
+        assert (f(special), c(special)) == (3.0, 1.0)
 
     @pytest.mark.parametrize("n", [0, 3, -2])
     def test_rejects_bad_sizes(self, n):
@@ -349,18 +348,16 @@ class TestAdversarialKnapsack:
 
 class TestBipartiteCover:
     def test_n16_full_cover(self):
-        inst = gen_bipartite_cover(16)
-        assert inst.objective(bits_of(16, range(16))) == 24.0
+        f = gen_bipartite_cover(16)
+        assert f.n == 16 and f(bits_of(16, range(16))) == 24.0
 
     def test_n16_hubs(self):
-        inst = gen_bipartite_cover(16)
         hubs = [i * 4 for i in range(4)]  # u_1 of each subgraph
-        assert inst.objective(bits_of(16, hubs)) == 12.0
+        assert gen_bipartite_cover(16)(bits_of(16, hubs)) == 12.0
 
     def test_n16_one_non_hub_per_subgraph(self):
-        inst = gen_bipartite_cover(16)
         picks = [i * 4 + 1 for i in range(4)]  # u_2 of each subgraph
-        assert inst.objective(bits_of(16, picks)) == 8.0
+        assert gen_bipartite_cover(16)(bits_of(16, picks)) == 8.0
 
     @pytest.mark.parametrize("n", [2, 15, 1])
     def test_rejects_bad_sizes(self, n):
@@ -388,10 +385,12 @@ class TestRandomGraphs:
         assert abs(np.mean(counts) - 99.0) < 3 * se
 
     def test_er_positions_and_weights(self):
+        # the positions are the stream's first draw, and are not kept
         g = gen_er_graph(20, 0.3, substream(3, "er-pos"))
-        assert g.positions.shape == (20, 2)
+        positions = substream(3, "er-pos").random((20, 2))
+        assert not hasattr(g, "positions")
         for (u, v, _p, w) in g.edge_list():
-            assert w == pytest.approx(float(np.hypot(*(g.positions[u] - g.positions[v]))))
+            assert w == float(np.hypot(*(positions[u] - positions[v])))
 
     def test_ba_bidirected(self):
         g = gen_ba_graph(30, m=2, rng=substream(6, "ba"), edge_prob=0.1)
@@ -476,14 +475,20 @@ class TestDimacs:
 
 
 class TestEdgeList:
-    def test_round_trip_with_positions(self, tmp_path):
+    def test_round_trip_skips_pos_lines(self, tmp_path):
         g = gen_er_graph(15, 0.3, substream(4, "el"))
         path = tmp_path / "g.edges"
         save_edge_list(g, path)
-        back = load_edge_list(path)
+        text = path.read_text()
+        assert "pos" not in text
+        back = load_edge_list(path, routing=True)
         assert back.n == g.n and back.directed == g.directed
-        assert np.allclose(back.positions, g.positions)
         assert back.edge_list() == g.edge_list()
+        # a file written before 0.4.0 holds a `pos x y` line per node after
+        # its header; they are read as comments
+        header, edges = text.split("\n", 1)
+        path.write_text(header + "\n" + "pos 0.25 0.5\n" * g.n + edges)
+        assert load_edge_list(path, routing=True).adjacency == g.adjacency
 
     def test_undirected_self_loop_listed_once(self, tmp_path):
         g = DirectedGraph.from_edges(2, [(0, 0), (0, 1)], directed=False)

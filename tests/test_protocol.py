@@ -9,13 +9,13 @@ from dynsel.algorithms import Eamc, gga
 from dynsel.analysis import check_phi_approx
 from dynsel.core import substream
 from dynsel.dynamics import ALL_ALGORITHMS, make_solver
-from dynsel.problems import (CardinalityCost, CoverageInstance,
+from dynsel.problems import (CardinalityCost, SetCoverObjective,
                              gen_random_digraph, random_linear_cost)
 
 from conftest import Calls
 
 N = 8
-F = CoverageInstance(gen_random_digraph(N, 0.25, substream(0, "protocol"))).objective
+F = SetCoverObjective.from_graph(gen_random_digraph(N, 0.25, substream(0, "protocol")))
 C = random_linear_cost(N, substream(1, "protocol"))
 GREEDY = ("gga", "adgga")
 

@@ -3,7 +3,6 @@ save function reads back equal with the load function."""
 
 from collections import Counter
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,13 +31,7 @@ def graphs(draw):
     prob = st.floats(0.0, 1.0) if draw(st.booleans()) else st.none()
     weight = st.floats(-1e6, 1e6, **finite) if draw(st.booleans()) else st.none()
     edges = draw(st.lists(st.tuples(node, node, prob, weight), max_size=20))
-    positions = None
-    if draw(st.booleans()):
-        positions = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-                                  min_size=n, max_size=n))
-    return DirectedGraph.from_edges(
-        n, edges, directed=draw(st.booleans()),
-        positions=np.asarray(positions) if positions is not None else None)
+    return DirectedGraph.from_edges(n, edges, directed=draw(st.booleans()))
 
 
 def _adjacency(graph):
@@ -62,7 +55,3 @@ def test_edge_list_round_trip(tmp_path_factory, graph):
     assert (loaded.n, loaded.directed) == (graph.n, graph.directed)
     assert _adjacency(loaded) == _adjacency(graph)
     assert len(loaded.edge_list()) == len(graph.edge_list())
-    if graph.positions is None:
-        assert loaded.positions is None
-    else:
-        assert (loaded.positions == graph.positions).all()
