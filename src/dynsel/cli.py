@@ -21,6 +21,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,19 +46,16 @@ from .theory import (bipartite_decrease_trace, knapsack_increase_trace,
 
 EXPERIMENT_PRESETS = {
     "influence-routing": dict(kind="influence", schedule="influence",
-                              cost="routing", taus=(100, 1000, 5000, 10000),
+                              cost="routing",
                               algorithms="gga,adgga,pomc,pomc-wp"),
     "influence-cardinality": dict(kind="influence", schedule="influence",
                                   cost="cardinality",
-                                  taus=(100, 1000, 5000, 10000),
                                   algorithms="gga,adgga,pomc,pomc-wp"),
     "maxcov-random": dict(kind="coverage", schedule="random-cost",
                           cost="random-linear",
-                          taus=(100, 1000, 5000, 15000, 45000),
                           algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
     "maxcov-outdegree": dict(kind="coverage", schedule="outdegree",
                              cost="outdegree",
-                             taus=(100, 1000, 5000, 15000, 45000),
                              algorithms="gga,adgga,pomc-wp,eamc,nsga2"),
 }
 
@@ -99,32 +97,12 @@ def load_graph(path, routing=False) -> DirectedGraph:
 # generate
 
 
-def _influence_graphs(out: Path, cost: str, args, rng) -> dict:
-    """Write an influence experiment's graphs next to its config `out`, named
-    after it: a BA social graph and, for the routing cost, an ER routing
-    graph redrawn until connected, with p raised to at least 2 ln(n) / n.
-    Returns the [instance] keys that name them."""
-    social = out.with_name(f"{out.stem}.social.edges")
-    save_edge_list(gen_ba_graph(args.n, m=args.m, rng=rng,
-                                edge_prob=args.edge_prob), social)
-    keys = {"graph": social.name}
-    if cost == "routing":
-        p = max(args.p, 2 * math.log(args.n) / args.n)
-        routing = gen_er_graph(args.n, p, rng)
-        while bfs_reachable(routing, [0]) < routing.n:
-            routing = gen_er_graph(args.n, p, rng)
-        path = out.with_name(f"{out.stem}.routing.edges")
-        save_edge_list(routing, path)
-        keys["routing_graph"] = path.name
-    return keys
-
-
-def _write_costs(path, n, seed, rng) -> None:
-    """Write random-linear per-node weights, one per line, under a header
-    naming their size and seed."""
+def _write_costs(path, seed, weights) -> None:
+    """Write per-node weights, one a line, under a header naming n and seed."""
     with open(path, "w") as fh:
-        fh.write(f"# random-linear costs n={n} seed={seed} dynsel={__version__}\n")
-        for w in random_linear_cost(n, rng).weights:
+        fh.write(f"# random-linear costs n={len(weights)} seed={seed} "
+                 f"dynsel={__version__}\n")
+        for w in weights:
             fh.write(f"{float(w)!r}\n")
 
 
@@ -135,6 +113,56 @@ def _schedule_flags(args) -> dict:
     if args.integer_deltas:
         given["integer_deltas"] = True
     return given
+
+
+def _generate_config(args, out: Path, rng) -> None:
+    """Write experiment config `out` and the inputs named after it: graphs
+    (a routing graph is redrawn until connected) and any cost weights.  All
+    are drawn once `load_experiment` accepts the config, and before any file
+    is written, so a refused flag leaves no file behind."""
+    if not args.experiment:
+        raise ValueError("config generation needs --experiment")
+    preset = EXPERIMENT_PRESETS[args.experiment]
+    cfg = configparser.ConfigParser()
+    influence = preset["kind"] == "influence"
+    name = f"{out.stem}.{'social' if influence else 'graph'}.edges"
+    cfg["instance"] = {"kind": preset["kind"], "graph": name}
+    if preset["cost"] == "routing":
+        cfg["instance"]["routing_graph"] = f"{out.stem}.routing.edges"
+    if influence:
+        cfg["instance"]["seed"] = str(args.seed)
+    cfg["cost"] = {"variant": preset["cost"]}
+    if preset["cost"] == "random-linear":
+        cfg["cost"]["costs"] = f"{out.stem}.costs"
+    cfg["schedule"] = {"preset": preset["schedule"], "count": str(args.count),
+                       "tau": str(args.tau), "seed": str(args.seed),
+                       **{k: str(v) for k, v in _schedule_flags(args).items()}}
+    cfg["run"] = {"algorithms": preset["algorithms"],
+                  "seeds": str(args.run_seeds), "output": "results"}
+    load_experiment(cfg, out.parent)
+    if influence:
+        graphs = {"graph": gen_ba_graph(args.n, m=args.m, rng=rng,
+                                        edge_prob=args.edge_prob)}
+    else:
+        graphs = {"graph": gen_random_digraph(
+            args.n, args.p, substream(args.seed, "instance", "coverage"),
+            edge_prob=args.edge_prob)}
+    if preset["cost"] == "routing":
+        p = max(args.p, 2 * math.log(args.n) / args.n)
+        routing = gen_er_graph(args.n, p, rng)
+        while bfs_reachable(routing, [0]) < routing.n:
+            routing = gen_er_graph(args.n, p, rng)
+        graphs["routing_graph"] = routing
+    weights = (random_linear_cost(args.n, substream(args.seed, "costs")).weights
+               if preset["cost"] == "random-linear" else None)
+    for key, graph in graphs.items():
+        save_edge_list(graph, out.with_name(cfg["instance"][key]))
+    if weights is not None:
+        _write_costs(out.with_name(cfg["cost"]["costs"]), args.seed, weights)
+    with open(out, "w") as fh:
+        fh.write(f"# dynsel={__version__} experiment={args.experiment} "
+                 f"seed={args.seed}\n")
+        cfg.write(fh)
 
 
 def cmd_generate(args) -> int:
@@ -154,39 +182,9 @@ def cmd_generate(args) -> int:
         graph = gen_er_graph(args.n, args.p, rng)
         save_edge_list(graph, out)
     elif args.kind == "config":
-        if not args.experiment:
-            raise ValueError("config generation needs --experiment")
-        preset = EXPERIMENT_PRESETS[args.experiment]
-        tau = args.tau  # the full grid is preset["taus"]; one tau per config
-        cfg = configparser.ConfigParser()
-        if preset["kind"] == "influence":
-            cfg["instance"] = {"kind": "influence",
-                               **_influence_graphs(out, preset["cost"], args, rng),
-                               "seed": str(args.seed)}
-        else:
-            graph = out.with_name(f"{out.stem}.graph.edges")
-            save_edge_list(gen_random_digraph(
-                args.n, args.p, substream(args.seed, "instance", "coverage"),
-                edge_prob=args.edge_prob), graph)
-            cfg["instance"] = {"kind": "coverage", "graph": graph.name}
-        cfg["cost"] = {"variant": preset["cost"]}
-        if preset["cost"] == "random-linear":
-            costs = out.with_name(f"{out.stem}.costs")
-            _write_costs(costs, args.n, args.seed, substream(args.seed, "costs"))
-            cfg["cost"]["costs"] = costs.name
-        cfg["schedule"] = {"preset": preset["schedule"],
-                           "count": str(args.count), "tau": str(tau),
-                           "seed": str(args.seed),
-                           **{key: str(value) for key, value
-                              in _schedule_flags(args).items()}}
-        cfg["run"] = {"algorithms": preset["algorithms"],
-                      "seeds": str(args.run_seeds), "output": "results"}
-        with open(out, "w") as fh:
-            fh.write(f"# dynsel={__version__} experiment={args.experiment} "
-                     f"seed={args.seed}\n")
-            cfg.write(fh)
+        _generate_config(args, out, rng)
     elif args.kind == "random-costs":
-        _write_costs(out, args.n, args.seed, rng)
+        _write_costs(out, args.seed, random_linear_cost(args.n, rng).weights)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     print(f"wrote {out}")
@@ -366,10 +364,13 @@ def build_schedule(cfg, base_dir: Path, run_seed: int):
              for key, param in SCHEDULE_KEYS.items() if sched_sec.get(key)}
     if sched_sec.get("integer_deltas"):
         given["integer_deltas"] = sched_sec.getboolean("integer_deltas")
-    return preset_schedule(sched_sec.get("preset") or None,
-                           substream(seed, "schedule"),
-                           count=_config_int(sched_sec, "count", 200, 1),
-                           tau=1000 if tau is None else tau, seed=seed, **given)
+    given.update(count=_config_int(sched_sec, "count", 200, 1), seed=seed,
+                 tau=1000 if tau is None else tau)
+    try:
+        return preset_schedule(sched_sec.get("preset") or None,
+                               substream(seed, "schedule"), **given)
+    except ValueError as exc:
+        raise ValueError(f"[schedule] {exc}") from None
 
 
 def _run_seeds(run_sec):
@@ -386,11 +387,22 @@ def _run_seeds(run_sec):
     return _distinct(seeds, "[run] seeds")
 
 
-def cmd_run(args) -> int:
-    jobs = _jobs(args.jobs)
-    config_path = Path(args.config)
-    cfg = _read_config(config_path)
-    base_dir = config_path.parent
+class Experiment(NamedTuple):
+    """A config's algorithms, run seeds, schedule by seed and shared params."""
+    algorithms: list
+    seeds: list
+    schedules: dict
+    params: dict
+
+
+def load_experiment(cfg, base_dir: Path) -> Experiment:
+    """The experiment of `cfg`, whose input names are relative to `base_dir`:
+    the one place that checks input names and the [run] and [schedule] keys."""
+    for section, key in INPUT_KEYS:
+        name = cfg.get(section, key, fallback="")
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ValueError(f"[{section}] {key} must name a file in the "
+                             f"config's directory or below it, got {name!r}")
     run_sec = cfg["run"]
     algorithms = [a.strip() for a in run_sec.get("algorithms", "gga").split(",")]
     for a in algorithms:
@@ -399,26 +411,24 @@ def cmd_run(args) -> int:
     _distinct(algorithms, "[run] algorithms")
     seeds = _run_seeds(run_sec)
     warmup = _config_int(run_sec, "warmup", None, 0)
-    f, c, meta = build_instance(cfg, base_dir)
-    params = {}
-    if warmup is not None:
-        params["warmup_evals"] = warmup
+    schedules = {seed: build_schedule(cfg, base_dir, seed) for seed in seeds}
+    params = {} if warmup is None else {"warmup_evals": warmup}
     if cfg["schedule"].get("r"):
         params["delta_cap"] = _config_float(cfg["schedule"], "r")
-    per_seed = {}  # seed -> (schedule, params as a serial loop had them)
-    for seed in seeds:
-        schedule = build_schedule(cfg, base_dir, seed)
-        if schedule.r:
-            params.setdefault("delta_cap", schedule.r)
-        per_seed[seed] = (schedule, dict(params))
+    elif schedules[seeds[0]].r:  # the same r for every seed
+        params["delta_cap"] = schedules[seeds[0]].r
+    return Experiment(algorithms, seeds, schedules, params)
 
-    for section, key in INPUT_KEYS:
-        name = cfg.get(section, key, fallback="")
-        if Path(name).is_absolute() or ".." in Path(name).parts:
-            raise ValueError(f"[{section}] {key} must name a file in the "
-                             f"config's directory or below it, got {name!r}")
 
-    out_dir = Path(run_sec.get("output", "results"))
+def cmd_run(args) -> int:
+    jobs = _jobs(args.jobs)
+    config_path = Path(args.config)
+    cfg = _read_config(config_path)
+    base_dir = config_path.parent
+    algorithms, seeds, schedules, params = load_experiment(cfg, base_dir)
+    f, c, meta = build_instance(cfg, base_dir)
+
+    out_dir = Path(cfg["run"].get("output", "results"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,18 +445,17 @@ def cmd_run(args) -> int:
     def run_task(task):
         """(records or None, error message or None, wall seconds)"""
         alg, seed = task
-        schedule, run_params = per_seed[seed]
         start = time.perf_counter()
         try:
-            records, error = run_dynamic(alg, f, c, schedule, seed,
-                                         params=run_params), None
+            records, error = run_dynamic(alg, f, c, schedules[seed], seed,
+                                         params=params), None
         except Exception as exc:  # noqa: BLE001 - flag truncated run, keep going
             records, error = None, str(exc)
         return records, error, round(time.perf_counter() - start, 6)
 
     cfg_hash = _config_hash(config_path.read_text())
     tasks = [(alg, seed) for seed in seeds for alg in algorithms]
-    planned = sum(planned_evals(alg, *per_seed[seed]) for alg, seed in tasks)
+    planned = sum(planned_evals(alg, schedules[seed], params) for alg, seed in tasks)
     jobs = worker_count(jobs, len(tasks), planned)
     files = []
     failed = []

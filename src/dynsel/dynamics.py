@@ -42,7 +42,9 @@ class BudgetSchedule:
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau!r}")
         if not self.b_min <= self.b_init <= self.b_max:
-            raise ValueError("need b_min <= b_init <= b_max")
+            raise ValueError(f"need b_min <= b_init <= b_max, got b_min = "
+                             f"{self.b_min!r}, b_init = {self.b_init!r}, "
+                             f"b_max = {self.b_max!r}")
         if any(abs(d) > self.r + 1e-12 for d in self.deltas):
             raise ValueError("delta outside [-r, r]")
 

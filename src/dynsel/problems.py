@@ -249,6 +249,8 @@ class LinearCost(CostFn):
 
 def random_linear_cost(n, rng) -> LinearCost:
     """Per-node random cost in (0, 1], drawn once and persisted per instance."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     w = 1.0 - rng.random(n)  # rng.random is [0,1), so 1-u is (0,1]
     return LinearCost(w)
 
@@ -483,6 +485,10 @@ def gen_er_graph(n: int, p: float, rng) -> DirectedGraph:
 
 def gen_random_digraph(n: int, p: float, rng, edge_prob: float = 0.1) -> DirectedGraph:
     """Directed ER-style graph; each ordered pair an edge with probability p."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be a probability")
     edges = []
     for u in range(n):
         draws = rng.random(n)

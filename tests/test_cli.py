@@ -559,7 +559,23 @@ class TestErrors:
         (("run", "--config", "nowhere.ini"),
          "config file not found: nowhere.ini"),
         (("generate", "config", "--experiment", "maxcov-random", "--tau", -5,
-          "--out", "exp.ini"), "--tau must be non-negative, got -5")])
+          "--out", "exp.ini"), "--tau must be non-negative, got -5"),
+        # generate config refuses what run refuses, before writing any file
+        (("generate", "config", "--experiment", "maxcov-random",
+          "--run-seeds", 0, "--out", "g.ini"),
+         "[run] seeds must be an integer >= 1, got '0'"),
+        (("generate", "config", "--experiment", "maxcov-random", "--count", 0,
+          "--out", "g.ini"), "[schedule] count must be an integer >= 1, got '0'"),
+        (("generate", "config", "--experiment", "maxcov-random", "--r", 0,
+          "--out", "g.ini"), "[schedule] r must be positive"),
+        (("generate", "config", "--experiment", "maxcov-random", "--n", 0,
+          "--out", "g.ini"), "need n >= 1"),
+        (("generate", "config", "--experiment", "influence-routing", "--p", 1.5,
+          "--out", "g.ini"), "p must be a probability"),
+        (("generate", "config", "--experiment", "maxcov-outdegree", "--bmin", 3,
+          "--bmax", 1, "--out", "g.ini"),
+         "[schedule] need b_min <= b_init <= b_max, got b_min = 3.0, "
+         "b_init = 500.0, b_max = 1.0")])
     def test_one_line_and_exit_code_2(self, tmp_path, monkeypatch, capsys,
                                       argv, message):
         monkeypatch.chdir(tmp_path)
@@ -783,6 +799,21 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"dynsel: error: [instance] graph must name a file in the "
             f"config's directory or below it, got {name!r}\n")
+        assert sorted(p.name for p in cfg_dir.iterdir()) == ["config.ini",
+                                                             "g3.edges"]
+
+    def test_schedule_path_outside_the_config_directory_refused_by_key(
+            self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        cfg = read_config(write_config(cfg_dir),
+                          schedule={"path": "../missing.txt"})
+        with open(cfg_dir / "config.ini", "w") as fh:
+            cfg.write(fh)
+        assert run_cli("run", "--config", cfg_dir / "config.ini") == 2
+        assert capsys.readouterr().err == (
+            "dynsel: error: [schedule] path must name a file in the config's "
+            "directory or below it, got '../missing.txt'\n")
         assert sorted(p.name for p in cfg_dir.iterdir()) == ["config.ini",
                                                              "g3.edges"]
 

@@ -418,6 +418,18 @@ class TestRandomGraphs:
         with pytest.raises(ValueError, match=f"m = {m}"):
             gen_ba_graph(10, m=m, rng=substream(0, "ba"))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: gen_random_digraph(0, 0.2, substream(0, "rd")), "need n >= 1"),
+        (lambda: gen_random_digraph(5, 1.5, substream(0, "rd")),
+         "p must be a probability"),
+        (lambda: gen_random_digraph(5, math.nan, substream(0, "rd")),
+         "p must be a probability"),
+        (lambda: random_linear_cost(0, substream(0, "rl")), "need n >= 1")],
+        ids=["digraph-n-0", "digraph-p-1.5", "digraph-p-nan", "costs-n-0"])
+    def test_max_coverage_generators_refuse_bad_values(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_digraph_edge_probability_param(self):
         g = gen_random_digraph(10, 0.5, substream(2, "dg"), edge_prob=0.25)
         assert all(p == 0.25 for (_u, _v, p, _w) in g.edge_list())
