@@ -166,8 +166,6 @@ def _generate_config(args, out: Path, rng) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.tau < 0:
-        raise ValueError(f"--tau must be non-negative, got {args.tau}")
     rng = substream(args.seed, "generate", args.kind)
     out = Path(args.out)
     if args.kind == "schedule":
@@ -413,10 +411,14 @@ def load_experiment(cfg, base_dir: Path) -> Experiment:
     warmup = _config_int(run_sec, "warmup", None, 0)
     schedules = {seed: build_schedule(cfg, base_dir, seed) for seed in seeds}
     params = {} if warmup is None else {"warmup_evals": warmup}
-    if cfg["schedule"].get("r"):
-        params["delta_cap"] = _config_float(cfg["schedule"], "r")
-    elif schedules[seeds[0]].r:  # the same r for every seed
-        params["delta_cap"] = schedules[seeds[0]].r
+    r = schedules[seeds[0]].r  # the same r for every seed
+    given = _config_float(cfg["schedule"], "r")
+    if given is not None and given != r:  # only a schedule file's r can differ
+        raise ValueError(f"[schedule] r = {given!r} differs from r = {r!r} in "
+                         f"the schedule file {cfg['schedule'].get('path')!r}; "
+                         f"drop the key or make it match")
+    if given is not None or r:
+        params["delta_cap"] = r
     return Experiment(algorithms, seeds, schedules, params)
 
 

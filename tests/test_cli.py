@@ -558,9 +558,9 @@ class TestErrors:
         (("generate", "ba", "--m", 0, "--out", "x.edges"), "m = 0"),
         (("run", "--config", "nowhere.ini"),
          "config file not found: nowhere.ini"),
-        (("generate", "config", "--experiment", "maxcov-random", "--tau", -5,
-          "--out", "exp.ini"), "--tau must be non-negative, got -5"),
         # generate config refuses what run refuses, before writing any file
+        (("generate", "config", "--experiment", "maxcov-random", "--tau", -5,
+          "--out", "exp.ini"), "[schedule] tau must be an integer >= 0, got '-5'"),
         (("generate", "config", "--experiment", "maxcov-random",
           "--run-seeds", 0, "--out", "g.ini"),
          "[run] seeds must be an integer >= 1, got '0'"),
@@ -575,7 +575,10 @@ class TestErrors:
         (("generate", "config", "--experiment", "maxcov-outdegree", "--bmin", 3,
           "--bmax", 1, "--out", "g.ini"),
          "[schedule] need b_min <= b_init <= b_max, got b_min = 3.0, "
-         "b_init = 500.0, b_max = 1.0")])
+         "b_init = 500.0, b_max = 1.0"),
+        # generate schedule keeps the schedule's own message
+        (("generate", "schedule", "--preset", "influence", "--tau", -5,
+          "--out", "s.txt"), "tau must be non-negative, got -5")])
     def test_one_line_and_exit_code_2(self, tmp_path, monkeypatch, capsys,
                                       argv, message):
         monkeypatch.chdir(tmp_path)
@@ -609,6 +612,25 @@ class TestErrors:
             f"no binit= line\n")
         assert not (tmp_path / "results").exists()
 
+
+    @pytest.mark.parametrize("r", ["5", "1.5"])
+    def test_schedule_r_key_beside_a_schedule_file_must_match_it(
+            self, tmp_path, capsys, r):
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        (tmp_path / "sched.txt").write_text(
+            "binit=2\nbmin=1\nbmax=3\nr=1\ntau=5\n1\n")
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = nsga2\n\n"
+                          f"[schedule]\npath = sched.txt\nr = {r}\n")
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: [schedule] r = {float(r)!r} differs from r = 1.0 "
+            f"in the schedule file 'sched.txt'; drop the key or make it match\n")
+        assert not (tmp_path / "results").exists()
+        config.write_text(config.read_text().replace(f"r = {r}", "r = 1.0"))
+        experiment = cli.load_experiment(cli._read_config(config), tmp_path)
+        assert experiment.params == {"delta_cap": 1.0}
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("run", "seeds", "0", "[run] seeds must be an integer >= 1, got '0'"),

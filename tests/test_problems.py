@@ -83,6 +83,40 @@ class TestCoverage:
                 sub = (sub - 1) & y
 
 
+def _assert_kernel_is_the_union(f, sets, pick, scale=1):
+    """f of `pick`, of the empty set and of the full set, as a uint8 array,
+    a bool array and a 0/1 list, is |union of the selected sets| / scale."""
+    for chosen in (pick, [False] * len(sets), [True] * len(sets)):
+        want = len(set().union(*(s for s, on in zip(sets, chosen) if on)))
+        for bits in (np.array(chosen, dtype=np.uint8),
+                     np.array(chosen, dtype=bool), [int(on) for on in chosen]):
+            assert f(bits) == want / scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), universe=st.integers(1, 200))
+def test_set_cover_kernel_is_the_union_of_the_selected_sets(data, universe):
+    sets = data.draw(st.lists(st.sets(st.integers(0, universe - 1)),
+                              min_size=1, max_size=40))
+    pick = data.draw(st.lists(st.booleans(), min_size=len(sets),
+                              max_size=len(sets)))
+    f = SetCoverObjective.from_sets(universe, sets)
+    _assert_kernel_is_the_union(f, sets, pick)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), simulations=st.integers(1, 6),
+       edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_ic_spread_kernel_is_the_union_of_the_selected_sets(
+        data, n, simulations, edge_prob, seed):
+    g = gen_random_digraph(n, 0.3, substream(seed, "kernel"), edge_prob=edge_prob)
+    f = IcSpreadObjective(InfluenceInstance(g, simulations=simulations),
+                          substream(seed, "kernel", "ic"))
+    sets = [{e for e in range(m.bit_length()) if m >> e & 1} for m in f.masks]
+    pick = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    _assert_kernel_is_the_union(f, sets, pick, scale=simulations)
+
+
 # ---------------------------------------------------------------------------
 # independent cascade
 
