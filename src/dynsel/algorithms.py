@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import compress
 
 import numpy as np
 
@@ -38,19 +39,21 @@ class NoFeasibleMemberError(RuntimeError):
 
 
 BRUTE_FORCE_CAP = 24
+_DRAW_BLOCK = 8192  # floats per block of POMC's and EAMC's mutation draws
 
 
 def evaluate(f, c, bits, counter, cutoff):
     """One counted evaluation: c first, then f only when cost <= cutoff.
 
     Returns (f or NEG_INF, cost).  The cutoff is B + 1 for POMC's
-    bi-objective reformulation, B for EAMC and +inf for NSGA-II.
+    bi-objective reformulation, B for EAMC and +inf for NSGA-II.  f and c
+    return Python floats, as every objective and cost in `problems` does.
     """
-    counter.increment()
-    cost = float(c(bits))
+    counter.count += 1
+    cost = c(bits)
     if cost > cutoff:
         return NEG_INF, cost
-    return float(f(bits)), cost
+    return f(bits), cost
 
 
 def _enumerable(n):
@@ -471,27 +474,29 @@ class AdaptiveGreedy(_Greedy):
 
 
 def _mutation_draws(rng, evals, n):
-    """The random draws of `evals` mutation iterations, as
-    (u, flips, flipped) per iteration: u in [0, 1) picks the parent, the
-    bool row `flips` is a per-bit flip at 1/n, `flipped` is `flips.any()`.
+    """The random draws of `evals` mutation iterations, one block at a time,
+    as (sel, rows, flipped): u in [0, 1) per iteration in the list `sel`
+    picks the parent, row i of the uint8 matrix `rows` is iteration i's
+    per-bit flip at 1/n (0 or 1 per bit), and `flipped[i]` is True when that
+    row flips any bit.
 
     Draws are taken in chunks of 4096 parent draws, each chunk's mutation
-    rows in consecutive blocks of about 32768 draws.  `random((k, n))` fills
+    rows in consecutive blocks of about 8192 draws.  `random((k, n))` fills
     row by row, so the blocks take the same stream as one `(chunk, n)` draw
-    while holding about 256 KB of floats instead of 4096 n.  POMC and EAMC
+    while holding about 64 KB of floats instead of 4096 n.  POMC and EAMC
     share this layout.
     """
     rate = 1.0 / n
     rng_random = rng.random
-    block = max(1, 32768 // n)
+    block = max(1, _DRAW_BLOCK // n)
     done = 0
     while done < evals:
         chunk = min(4096, evals - done)
         sel = rng_random(chunk).tolist()
         for start in range(0, chunk, block):
             flips = rng_random((min(block, chunk - start), n)) < rate
-            flipped = flips.any(axis=1).tolist()
-            yield from zip(sel[start:start + len(flipped)], flips, flipped)
+            yield (sel[start:start + len(flips)], flips.view(np.uint8),
+                   flips.any(axis=1).tolist())
         done += chunk
 
 
@@ -536,16 +541,22 @@ class Pomc(_Solver):
         and one evaluation (f1 = -inf iff cost > budget + 1).  A child that
         flips no bit equals its parent, so it could only take its parent's
         place: it is counted, f and c are not called, and the population is
-        left as it is.
+        left as it is.  So each block of draws counts its zero-flip children
+        in one call and walks only the rows that flip a bit.
         """
         f, c, counter, cutoff = self.f, self.c, self.counter, self.budget + 1
-        bits, insert = self._bits, self._insert
-        for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
-            if flipped:
+        bits, values, costs = self._bits, self._f1, self._cost
+        insert = self._insert
+        for sel, rows, flipped in _mutation_draws(self.rng, evals, self.n):
+            counter.increment(flipped.count(False))
+            for u, flips in compress(zip(sel, rows), flipped):
                 child = bits[int(u * len(bits))] ^ flips
-                insert(child, *evaluate(f, c, child, counter, cutoff))
-            else:
-                counter.increment()
+                f1, cost = evaluate(f, c, child, counter, cutoff)
+                # `_insert`'s refusal, checked here first to spare the call
+                i = bisect_right(costs, cost) - 1
+                if values[i] > f1 or (values[i] == f1 and costs[i] < cost):
+                    continue
+                insert(child, f1, cost)
 
     def _stored(self):
         return zip(self._f1, self._cost)
@@ -603,9 +614,6 @@ class Eamc(_Solver):
     def __len__(self):
         return len(self._members)
 
-    def _g(self, fval, cost, size):
-        return _eamc_g(fval, cost, size, self.budget)
-
     def _insert(self, child, fval, cost) -> None:
         """Offer a feasible child to the bin of its size."""
         size = int(np.count_nonzero(child))
@@ -616,7 +624,9 @@ class Eamc(_Solver):
         else:
             u, v = slot
             changed = False
-            if self._g(fval, cost, size) > self._g(u[1], u[2], size):
+            budget = self.budget
+            if (_eamc_g(fval, cost, size, budget)
+                    > _eamc_g(u[1], u[2], size, budget)):
                 slot[0] = entry
                 changed = True
             if fval > v[1]:
@@ -629,21 +639,23 @@ class Eamc(_Solver):
     def _run(self, evals: int) -> None:
         """`evals` offspring, each a uniform member mutated per bit at 1/n
         (the draws of `_mutation_draws`, as in `Pomc._run`) and evaluated
-        with the cutoff at the budget.  A zero-flip child is counted and
-        offered with its parent's stored (f, cost), without calling f or c:
-        after a change re-ranks g, a copy of a bin's V can replace its U."""
+        with the cutoff at the budget.  A zero-flip child is counted (once
+        per block of draws) and offered with its parent's stored (f, cost),
+        without calling f or c: after a change re-ranks g, a copy of a bin's
+        V can replace its U."""
         f, c, counter, budget = self.f, self.c, self.counter, self.budget
-        for u, flips, flipped in _mutation_draws(self.rng, evals, self.n):
-            members = self._members
-            parent, fval, cost = members[int(u * len(members))]
-            if flipped:
-                child = parent ^ flips
-                fval, cost = evaluate(f, c, child, counter, budget)
-            else:
-                child = parent
-                counter.increment()
-            if cost <= budget:
-                self._insert(child, fval, cost)
+        for sel, rows, flipped in _mutation_draws(self.rng, evals, self.n):
+            counter.increment(flipped.count(False))
+            for u, flips, flip in zip(sel, rows, flipped):
+                members = self._members
+                parent, fval, cost = members[int(u * len(members))]
+                if flip:
+                    child = parent ^ flips
+                    fval, cost = evaluate(f, c, child, counter, budget)
+                else:
+                    child = parent
+                if cost <= budget:
+                    self._insert(child, fval, cost)
 
     def set_budget(self, budget) -> None:
         """Remove every member with cost above the new bound; keep bin(0)."""
@@ -811,7 +823,7 @@ class Nsga2(_Solver):
         rng, n = self.rng, self.n
         picks = rng.integers(self.pop_size, size=(count, 4))
         draws = rng.random(count * (2 * n + 1))
-        cross = draws[:count] < self.crossover_rate
+        no_cross = draws[:count] >= self.crossover_rate
         take = draws[count:count * (n + 1)].reshape(count, n) < 0.5
         flips = draws[count * (n + 1):].reshape(count, n) < 1.0 / n
         rank, crowding = self.rank, self.crowding
@@ -819,7 +831,11 @@ class Nsga2(_Solver):
                                               and crowding[a] >= crowding[b])
                    else b for a, b in picks.reshape(-1, 2).tolist()]
         chosen = self.parents[winners]  # rows p1, p2 of each child in turn
-        children = np.where(take | ~cross[:, None], chosen[0::2], chosen[1::2])
+        # p2 ^ ((p1 ^ p2) & from_p1) ^ flips, written over the p1 rows
+        children, p2 = chosen[0::2], chosen[1::2]
+        children ^= p2
+        children &= take | no_cross[:, None]
+        children ^= p2
         children ^= flips
         f, c, counter = self.f, self.c, self.counter
         values = [evaluate(f, c, child, counter, POS_INF) for child in children]

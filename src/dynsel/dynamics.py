@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import isfinite
 
 from .algorithms import AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc
 from .core import substream
@@ -37,6 +38,10 @@ class BudgetSchedule:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("b_init", "b_min", "b_max", "r"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if self.b_min < 0:
             raise ValueError(f"b_min must be non-negative, got {self.b_min!r}")
         if self.tau < 0:
@@ -125,11 +130,20 @@ def save_schedule(schedule: BudgetSchedule, path) -> None:
             fh.write(f"{d!r}\n")
 
 
+def _finite(text) -> float:
+    """`text` as a finite float; anything else raises ValueError."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def load_schedule(path) -> BudgetSchedule:
     """The schedule `save_schedule` wrote; a missing key, a line that is
-    not a number or a value `BudgetSchedule` refuses (a negative tau, say)
-    is refused with a ValueError that names the file."""
-    header = {}
+    not a finite number (an integer for tau and seed) or a value
+    `BudgetSchedule` refuses (a negative tau, say) is refused with a
+    ValueError that names the file, and the line where there is one."""
+    header, lines = {}, {}  # key -> its value, key -> its line number
     deltas = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -139,12 +153,13 @@ def load_schedule(path) -> BudgetSchedule:
             if "=" in line:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
+                lines[key.strip()] = lineno
                 continue
             try:
-                deltas.append(float(line))
+                deltas.append(_finite(line))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: {line!r} is not a "
-                                 f"budget change") from None
+                                 f"finite budget change") from None
 
     def value(key, kind):
         if key not in header:
@@ -152,14 +167,14 @@ def load_schedule(path) -> BudgetSchedule:
         try:
             return kind(header[key])
         except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{path}: {key}={header[key]!r} is not {what}"
-                             ) from None
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{path}: line {lines[key]}: {key}={header[key]!r} "
+                             f"is not {what}") from None
 
     seed = value("seed", int) if header.get("seed") else None
-    fields = dict(b_init=value("binit", float), b_min=value("bmin", float),
-                  b_max=value("bmax", float), tau=value("tau", int),
-                  r=value("r", float))
+    fields = dict(b_init=value("binit", _finite), b_min=value("bmin", _finite),
+                  b_max=value("bmax", _finite), tau=value("tau", int),
+                  r=value("r", _finite))
     try:
         return BudgetSchedule(deltas=deltas, seed=seed, **fields)
     except ValueError as exc:
@@ -199,12 +214,15 @@ def write_run_csv(path, run_id, seed, records) -> None:
 RUN_CSV_FIELDS = (("change_index", int), ("budget", float), ("algorithm", str),
                   ("best_f", float), ("best_cost", float),
                   ("evaluations", int), ("wall_ms", float))
+# the float columns that must also be finite (read_run_csv checks them)
+_FINITE_RUN_CSV_FIELDS = ("budget", "best_f", "best_cost")
 
 
 def read_run_csv(path):
     """The records `write_run_csv` wrote, its columns found by header name.
-    A missing column, a short row or a field that is not a number is
-    refused with a ValueError naming the file, and the line or column."""
+    A missing column, a short row or a field that is not a number (a
+    finite one for budget, best_f and best_cost) is refused with a
+    ValueError naming the file, and the line or column."""
     import csv
 
     records = []
@@ -219,10 +237,14 @@ def read_run_csv(path):
             if not row:
                 continue
             try:
-                records.append(RunRecord(*[kind(row[i]) for i, kind in fields]))
+                rec = RunRecord(*[kind(row[i]) for i, kind in fields])
             except (IndexError, ValueError):
+                rec = None
+            if rec is None or not (isfinite(rec.budget) and isfinite(rec.best_f)
+                                   and isfinite(rec.best_cost)):
                 raise ValueError(f"{path}: line {rows.line_num}: "
-                                 f"{_bad_field(row, header)}") from None
+                                 f"{_bad_field(row, header)}")
+            records.append(rec)
     return records
 
 
@@ -233,10 +255,12 @@ def _bad_field(row, header) -> str:
         if i >= len(row):
             return f"the row has no {name} field"
         try:
-            kind(row[i])
+            value = kind(row[i])
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             return f"{name} {row[i]!r} is not {noun}"
+        if name in _FINITE_RUN_CSV_FIELDS and not isfinite(value):
+            return f"{name} {row[i]!r} is not a finite number"
     return "the row does not parse"
 
 

@@ -38,6 +38,26 @@ class TestEvaluate:
         assert cut == (NEG_INF, 3.0)
         assert counter.count == 2
 
+    def test_every_built_in_f_and_c_returns_a_python_float(self):
+        """`evaluate` passes f and c on as they come, so each objective and
+        cost in `problems` must return a Python float itself."""
+        n = 9
+        rng = substream(0, "float-types")
+        g = gen_random_digraph(n, 0.3, rng)
+        influence = InfluenceInstance(g, simulations=4,
+                                      routing_graph=gen_er_graph(n, 1.0, rng))
+        fs = [SetCoverObjective.from_graph(g), LinearObjective(rng.random(n)),
+              IcSpreadObjective(influence, rng), gen_bipartite_cover(16),
+              gen_adversarial_knapsack(4)[0]]
+        cs = [CardinalityCost(n), random_linear_cost(n, rng),
+              outdegree_cost(g, q=1), RoutingCost(influence),
+              gen_adversarial_knapsack(4)[1]]
+        for fn in fs + cs:
+            for bits in (np.zeros(fn.n, dtype=np.uint8),
+                         np.ones(fn.n, dtype=np.uint8),
+                         rng.integers(0, 2, size=fn.n, dtype=np.uint8)):
+                assert type(fn(bits)) is float, type(fn).__name__
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -445,17 +465,21 @@ class ScriptedRng:
 def _zero_flips(seed, k, n):
     """Children among the first k of POMC's or EAMC's draws that flip no bit."""
     draws = _mutation_draws(substream(seed, "zero-flip"), k, n)
-    return sum(not flipped for _u, _flips, flipped in draws)
+    return sum(flipped.count(False) for _sel, _rows, flipped in draws)
 
 
 @pytest.mark.parametrize("evals", [0, 1, 4095, 4097])
 def test_mutation_draws_yield_evals_items_of_the_whole_chunk_stream(evals):
-    """At n = 100 the blocks hold 327 rows, which does not divide 4096, so
+    """At n = 100 the blocks hold 81 rows, which does not divide 4096, so
     4097 draws cross a chunk edge and a partial last block."""
     n = 100
     got_rng = substream(14, "draws")
     want_rng = substream(14, "draws")
-    got = list(_mutation_draws(got_rng, evals, n))
+    got = []
+    for sel, rows, flipped in _mutation_draws(got_rng, evals, n):
+        assert rows.dtype == np.uint8
+        assert len(sel) == len(rows) == len(flipped) <= 8192 // n
+        got.extend(zip(sel, rows, flipped))
     assert len(got) == evals
     done = 0
     while done < evals:
@@ -865,6 +889,43 @@ class TestNsga2:
             assert child.tolist() == want.tolist()
             assert (child_f[k], child_c[k]) == (float(f(want)),
                                                 float(solver.c(want)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), count=st.integers(1, 20),
+           rate=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**16))
+    @example(n=5, count=20, rate=0.0, seed=0)  # no coin is below the rate
+    @example(n=5, count=20, rate=1.0, seed=0)  # every coin is below it
+    def test_xor_crossover_equals_the_where_form(self, n, count, rate, seed):
+        """The children written over the p1 rows as
+        p2 ^ ((p1 ^ p2) & from_p1) ^ flips equal
+        np.where(take | ~cross[:, None], p1, p2) ^ flips over the same
+        draws, from random parents, ranks and crowdings, which stay as they
+        were."""
+        rng = substream(seed, "xor")
+        solver = Nsga2(LinearObjective(rng.random(n)), CardinalityCost(n),
+                       n / 2, substream(seed, "xor", "solver"), delta_cap=1.0)
+        solver.crossover_rate = rate
+        pop = solver.pop_size
+        solver.parents = rng.integers(0, 2, size=(pop, n), dtype=np.uint8)
+        solver.rank = rng.integers(0, 3, size=pop).tolist()
+        solver.crowding = rng.random(pop).tolist()
+        parents = solver.parents.copy()
+        draws = copy.deepcopy(solver.rng)
+        children, _f, _c = solver._make_offspring(count)
+        picks = draws.integers(pop, size=(count, 4)).reshape(-1, 2).tolist()
+        coins = draws.random(count * (2 * n + 1))
+        cross = coins[:count] < rate
+        take = coins[count:count * (n + 1)].reshape(count, n) < 0.5
+        flips = coins[count * (n + 1):].reshape(count, n) < 1.0 / n
+        rank, crowding = solver.rank, solver.crowding
+        winners = [a if (rank[a], -crowding[a]) <= (rank[b], -crowding[b])
+                   else b for a, b in picks]
+        p1, p2 = parents[winners[0::2]], parents[winners[1::2]]
+        want = np.where(take | ~cross[:, None], p1, p2) ^ flips
+        assert children.dtype == np.uint8
+        assert children.tolist() == want.tolist()
+        assert solver.parents.tolist() == parents.tolist()
 
     def test_whole_generations_draw_the_same_stream(self, g3_objective, card3):
         a = self.make(g3_objective, card3, seed=3)

@@ -465,7 +465,8 @@ class TestAnalyze:
         ("budget,", "budgte,", "the run file has no budget column"),
         ("change_index,", "index,", "the run file has no change_index column"),
         (",1.0,gga,", ",one,gga,", "line 2: budget 'one' is not a number"),
-        ("gga,3.0,", "gga,x,", "line 2: best_f 'x' is not a number")])
+        ("gga,3.0,", "gga,x,", "line 2: best_f 'x' is not a number"),
+        ("gga,3.0,", "gga,nan,", "line 2: best_f 'nan' is not a finite number")])
     def test_malformed_run_file_refused_by_file_and_line(
             self, tmp_path, capsys, old, new, message):
         config = write_config(tmp_path, algorithms="gga", seeds="2",
@@ -631,6 +632,22 @@ class TestErrors:
         config.write_text(config.read_text().replace(f"r = {r}", "r = 1.0"))
         experiment = cli.load_experiment(cli._read_config(config), tmp_path)
         assert experiment.params == {"delta_cap": 1.0}
+
+    def test_schedule_file_with_a_nan_r_refused_by_file_and_line(
+            self, tmp_path, capsys):
+        """r = nan passed every |delta| > r check, so nsga2 ran with a nan
+        delta_cap and `run` exited 0."""
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        sched = tmp_path / "sched.txt"
+        sched.write_text("binit=2\nbmin=1\nbmax=3\nr=nan\ntau=5\n1\n")
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = nsga2\n\n"
+                          "[schedule]\npath = sched.txt\n")
+        assert run_cli("run", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {sched}: line 4: r='nan' is not a finite number\n")
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("run", "seeds", "0", "[run] seeds must be an integer >= 1, got '0'"),

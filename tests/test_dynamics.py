@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from dynsel.algorithms import brute_force_front
 from dynsel.core import substream
-from dynsel.dynamics import (BudgetSchedule, gen_schedule, load_schedule,
-                             make_solver, preset_schedule, read_run_csv,
-                             run_dynamic, save_schedule, write_run_csv)
+from dynsel.dynamics import (BudgetSchedule, RunRecord, gen_schedule,
+                             load_schedule, make_solver, preset_schedule,
+                             read_run_csv, run_dynamic, save_schedule,
+                             write_run_csv)
 from dynsel.problems import (CardinalityCost, SetCoverObjective,
                              gen_adversarial_knapsack, gen_random_digraph,
                              random_linear_cost)
@@ -97,6 +100,36 @@ class TestSchedules:
         path.write_text("binit=1.0\nbmin=1.0\nbmax=3.0\nr=0.5\ntau=1.5\n")
         with pytest.raises(ValueError, match="tau='1.5' is not an integer"):
             load_schedule(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("binit=2\nbmin=1\nbmax=3\nr=nan\ntau=5\n1\n",
+         "line 4: r='nan' is not a finite number"),
+        ("binit=2\nbmin=1\nbmax=inf\nr=1\ntau=5\n1\n",
+         "line 3: bmax='inf' is not a finite number"),
+        ("binit=nan\nbmin=1\nbmax=3\nr=1\ntau=5\n1\n",
+         "line 1: binit='nan' is not a finite number"),
+        ("binit=2\nbmin=-inf\nbmax=3\nr=1\ntau=5\n1\n",
+         "line 2: bmin='-inf' is not a finite number"),
+        ("binit=2\nbmin=1\nbmax=3\nr=1\ntau=5\n1\nnan\n",
+         "line 7: 'nan' is not a finite budget change")])
+    def test_schedule_file_non_finite_value_refused_by_line(
+            self, tmp_path, text, message):
+        """r = nan passed every |delta| > r check and reached NSGA-II's
+        delta_cap; a nan delta failed every task; bmax = inf was taken."""
+        path = tmp_path / "sched.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_schedule(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("field", ["r", "b_init", "b_min", "b_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_schedule_refuses_a_non_finite_number(self, field, value):
+        fields = dict(b_init=2.0, b_min=1.0, b_max=3.0, r=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite "
+                                             f"number, got {value!r}"):
+            BudgetSchedule(deltas=[1.0], tau=5, **fields)
 
     def test_save_load_round_trip(self, tmp_path):
         s = preset_schedule("random-cost", substream(3, "rt"), count=20,
@@ -257,6 +290,22 @@ class TestRunCsv:
                  r.evaluations) for r in back] == \
                [(r.change_index, r.budget, r.algorithm, r.best_f, r.best_cost,
                  r.evaluations) for r in records]
+
+    @pytest.mark.parametrize("column", ["budget", "best_f", "best_cost"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_refused_by_line_and_column(
+            self, tmp_path, column, value):
+        """A nan best_f used to pass the read and reach report.csv as a
+        `nan,nan` row."""
+        path = tmp_path / "run.csv"
+        records = [RunRecord(k, 2.0, "gga", 3.0, 1.0, 10 * k, 0.5)
+                   for k in range(3)]
+        setattr(records[1], column, float(value))
+        write_run_csv(path, "gga_s0", 0, records)
+        with pytest.raises(ValueError) as err:
+            read_run_csv(path)
+        assert str(err.value) == (f"{path}: line 3: {column} {value!r} "
+                                  f"is not a finite number")
 
     def test_header_columns(self, tmp_path):
         path = tmp_path / "empty.csv"

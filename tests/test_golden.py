@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsel.algorithms import Pomc, _greedy_extend, evaluate
+from dynsel.algorithms import Eamc, Pomc, _greedy_extend, evaluate
 from dynsel.core import NEG_INF, POS_INF, EvalCounter, substream
 from dynsel.dynamics import ALL_ALGORITHMS, BudgetSchedule, run_dynamic
 from dynsel.problems import (CardinalityCost, IcSpreadObjective,
@@ -391,14 +391,14 @@ def test_pomc_population_matches_two_walk_insert(n, cost, seed, walk):
             assert got.answer_value(b)[0] == best
 
 
-def _pomc_at_100(budget):
+def _pomc_at_100(budget, solver=Pomc):
     g = gen_random_digraph(100, 0.05, substream(9, "golden", "blocks"))
-    return Pomc(SetCoverObjective.from_graph(g), outdegree_cost(g, q=2),
-                budget, substream(9, "golden", "blocks", "pomc"))
+    return solver(SetCoverObjective.from_graph(g), outdegree_cost(g, q=2),
+                  budget, substream(9, "golden", "blocks", "pomc"))
 
 
 def test_pomc_blocked_draws_match_whole_chunk_draws():
-    """At n = 100 a chunk's mutation rows come in blocks of 327, so 5000
+    """At n = 100 a chunk's mutation rows come in blocks of 81, so 5000
     evaluations cross the 4096 chunk, many blocks and a partial last block
     of each chunk; the whole-chunk draws of `two_walk_run` must agree."""
     got, want = _pomc_at_100(40.0), _pomc_at_100(40.0)
@@ -410,13 +410,26 @@ def test_pomc_blocked_draws_match_whole_chunk_draws():
     assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
-def test_pomc_mutation_draws_stay_small():
-    """One whole-chunk draw at n = 100 is 4096 x 100 float64 = 3.3 MB."""
-    pomc = _pomc_at_100(40.0)
+def _draw_peak(solver):
+    """tracemalloc's peak over one chunk of 4096 evaluations at n = 100."""
+    instance = _pomc_at_100(40.0, solver)
     tracemalloc.start()
     try:
-        pomc.run(4096)
+        instance.run(4096)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    return peak
+
+
+def test_pomc_mutation_draws_stay_small():
+    """One whole-chunk draw at n = 100 is 4096 x 100 float64 = 3.3 MB.  A
+    block of 8192 draws holds 64 KB of floats beside the chunk's 4096
+    parent draws, about 130 KB as a list: a run peaked near 225 KB, and
+    near 470 KB with the earlier blocks of 32768 draws."""
+    assert _draw_peak(Pomc) < 300_000
+
+
+def test_eamc_mutation_draws_stay_small():
+    """EAMC draws as POMC does (about 225 KB at its peak)."""
+    assert _draw_peak(Eamc) < 300_000
