@@ -20,6 +20,7 @@ import re
 import shutil
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +41,7 @@ from .problems import (DirectedGraph, GraphParseError, IcSpreadObjective,
                        gen_adversarial_knapsack, gen_ba_graph,
                        gen_bipartite_cover, gen_er_graph, gen_random_digraph,
                        load_dimacs, load_edge_list, make_cost,
-                       random_linear_cost, save_edge_list)
+                       random_linear_cost, routing_distances, save_edge_list)
 from .theory import (bipartite_decrease_trace, knapsack_increase_trace,
                      pomc_phi_trial)
 
@@ -349,6 +350,52 @@ def build_instance(cfg, base_dir: Path):
     return f, c, meta
 
 
+def _load_distances(path: Path, n: int) -> np.ndarray:
+    """The matrix a bundle's distances file holds, refused by file unless
+    numpy reads it as an n x n float64 array with a zero diagonal and every
+    entry >= 0 (+inf where no route exists)."""
+    try:
+        with open(path, "rb") as fh:
+            dist = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: numpy cannot read the distances file: "
+                         f"{exc}") from None
+    if not isinstance(dist, np.ndarray) or dist.dtype != np.float64 \
+            or dist.shape != (n, n):
+        got = (f"a {dist.dtype} array of shape {dist.shape}"
+               if isinstance(dist, np.ndarray) else "no single array")
+        raise ValueError(f"{path}: the distances file holds {got}, not the "
+                         f"{n} x {n} float64 matrix of the routing graph")
+    if (dist.diagonal() != 0).any() or not (dist >= 0).all():
+        raise ValueError(f"{path}: the distances file has a nonzero diagonal "
+                         f"or an entry that is not a number >= 0")
+    return dist
+
+
+def _routing_distances(cfg, c, meta, bundle: Path, save=False) -> None:
+    """Hand routing cost `c` its distance matrix before anything forks, so
+    forked processes inherit it.  The matrix is read from the bundle's
+    `<routing_graph>.dist-<digest>.npy`, the digest being the first 16 hex
+    digits of the SHA-256 of the graph file's bytes (an edited graph never
+    meets a stale file), or computed when there is no such file and, with
+    `save`, written there.  Any other cost is left as it is."""
+    if meta.get("cost_variant") != "routing":
+        return
+    name = cfg["instance"]["routing_graph"]
+    digest = hashlib.sha256((bundle / name).read_bytes()).hexdigest()[:16]
+    path = bundle / f"{name}.dist-{digest}.npy"
+    if path.exists():
+        c.use_distances(_load_distances(path, c.n))
+        return
+    dist = routing_distances(meta["influence"].routing_graph)
+    if save:  # whole or not at all: a killed run leaves no torn file
+        part = path.with_name(path.name + ".part")
+        with open(part, "wb") as fh:
+            np.save(fh, dist)
+        os.replace(part, path)
+    c.use_distances(dist)
+
+
 def build_schedule(cfg, base_dir: Path, run_seed: int):
     """The schedule of run seed `run_seed`: read from `[schedule] path`, or
     drawn from the preset's parameters with every given key laid over them."""
@@ -443,6 +490,7 @@ def cmd_run(args) -> int:
             if src.exists() and src.resolve() != dst.resolve():
                 dst.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy(src, dst)
+    _routing_distances(cfg, c, meta, out_dir, save=True)
 
     def run_task(task):
         """(records or None, error message or None, wall seconds)"""
@@ -574,20 +622,30 @@ def cmd_analyze(args) -> int:
     f, c, meta = build_instance(cfg, results_dir)
 
     by_alg = {}
+    counts = {}  # run file name -> its record count
     for name in manifest["files"]:
         records = read_run_csv(results_dir / name)
         if not records:
             raise ValueError(f"{results_dir / name}: the run file holds no "
                              f"records")
+        counts[name] = len(records)
         alg = records[0].algorithm
         seed = int(RUN_FILE.fullmatch(name)["seed"])
         by_alg.setdefault(alg, {})[seed] = records
     if not by_alg:
         raise ValueError("no run files found")
+    # the count most files hold; on a tie the larger, so a cut file is named
+    total, agree = max(Counter(counts.values()).items(),
+                       key=lambda item: (item[1], item[0]))
+    for name, count in counts.items():
+        if count != total:
+            raise ValueError(f"{results_dir / name}: the run file holds "
+                             f"{count} records where {agree} of the "
+                             f"{len(counts)} run files hold {total}")
     runs = [r for per_seed in by_alg.values() for r in per_seed.values()]
-    total = max(len(r) for r in runs)
     intervals = _parse_intervals(args.intervals, total)
 
+    _routing_distances(cfg, c, meta, results_dir)
     budgets = {rec.budget for records in runs for rec in records}
     if baseline_evals is None:
         baseline = brute_force_baseline(f, c, budgets)

@@ -138,11 +138,16 @@ def _finite(text) -> float:
     return value
 
 
+# the header keys `save_schedule` writes, in its order
+SCHEDULE_FILE_KEYS = ("binit", "bmin", "bmax", "r", "tau", "seed")
+
+
 def load_schedule(path) -> BudgetSchedule:
-    """The schedule `save_schedule` wrote; a missing key, a line that is
-    not a finite number (an integer for tau and seed) or a value
-    `BudgetSchedule` refuses (a negative tau, say) is refused with a
-    ValueError that names the file, and the line where there is one."""
+    """The schedule `save_schedule` wrote; a missing, repeated or unknown
+    key, a line that is not a finite number (an integer for tau and seed)
+    or a value `BudgetSchedule` refuses (a negative tau, say) is refused
+    with a ValueError that names the file, and the line where there is
+    one."""
     header, lines = {}, {}  # key -> its value, key -> its line number
     deltas = []
     with open(path) as fh:
@@ -152,8 +157,16 @@ def load_schedule(path) -> BudgetSchedule:
                 continue
             if "=" in line:
                 key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-                lines[key.strip()] = lineno
+                key = key.strip()
+                if key not in SCHEDULE_FILE_KEYS:
+                    raise ValueError(
+                        f"{path}: line {lineno}: unknown key {key!r}; a "
+                        f"schedule file holds {', '.join(SCHEDULE_FILE_KEYS)}")
+                if key in header:
+                    raise ValueError(f"{path}: line {lineno}: {key}= repeats "
+                                     f"line {lines[key]}")
+                header[key] = value.strip()
+                lines[key] = lineno
                 continue
             try:
                 deltas.append(_finite(line))

@@ -268,11 +268,49 @@ def outdegree_cost(graph: DirectedGraph, q: int = 6) -> LinearCost:
     return LinearCost(w)
 
 
-# Sources per block of RoutingCost's all-pairs Dijkstra; a block's arrays
-# hold this many rows whatever n is.  On a 2-vCPU VM, 128 took 3-4 ms at
-# n = 100 (64: 4.8-6.7 ms) and 0.19-0.27 s at n = 400 (64: 0.22 s, 256:
+# Sources per block of `routing_distances`' lockstep Dijkstra; a block's
+# arrays hold this many rows whatever n is.  On a 2-vCPU VM, 128 took 3-4 ms
+# at n = 100 (64: 4.8-6.7 ms) and 0.19-0.27 s at n = 400 (64: 0.22 s, 256:
 # 0.29-0.31 s).
 DIJKSTRA_BLOCK = 128
+
+
+def routing_distances(graph: DirectedGraph) -> np.ndarray:
+    """All-pairs shortest-path lengths of a routing graph, by Dijkstra's
+    algorithm (1959) run in lockstep for blocks of sources: each step
+    settles, per source, its nearest unsettled node u and relaxes every node
+    v to min(d[v], d[u] + w(u, v)).  Each distance is the float sum that a
+    per-source heap Dijkstra forms, so the matrix equals its bit for bit.
+    O(n^3) elementwise work, on (block, n) arrays."""
+    n = graph.n
+    ends = [t for out in graph.adjacency for (t, _p, _w) in out]
+    lengths = [w for out in graph.adjacency for (_t, _p, w) in out]
+    if None in lengths:
+        raise ValueError("routing edges must carry weights")
+    starts = [u for u, out in enumerate(graph.adjacency) for _ in out]
+    weight = np.full((n, n), POS_INF)
+    np.minimum.at(weight, (starts, ends), lengths)  # lightest parallel edge
+    if not (weight >= 0).all():
+        raise ValueError("routing edge weights must be numbers >= 0")
+    dist = np.empty((n, n))
+    for first in range(0, n, DIJKSTRA_BLOCK):
+        block = dist[first:first + DIJKSTRA_BLOCK]
+        rows = np.arange(len(block))
+        block.fill(POS_INF)
+        block[rows, first + rows] = 0.0
+        settled = np.zeros_like(block)  # +inf where a source settled the node
+        pending = np.empty_like(block)
+        relaxed = np.empty_like(block)
+        for _ in range(n - 1):  # the last node left needs no step
+            # a source with nothing reachable left picks any node;
+            # relaxing from it again changes nothing
+            u = np.add(block, settled, out=pending).argmin(axis=1)
+            settled[rows, u] = POS_INF
+            # u is in range; "clip" spares the copy "raise" makes of `out`
+            np.take(weight, u, axis=0, out=relaxed, mode="clip")
+            relaxed += block[rows, u][:, None]
+            np.minimum(block, relaxed, out=block)
+    return dist
 
 
 class RoutingCost(CostFn):
@@ -288,6 +326,9 @@ class RoutingCost(CostFn):
     their distance and a per-node charge of 1, c({0, 1, 2, 3}) = 18.1 but
     c({0, ..., 4}) = 17.1.  So it declares no `monotone`, and exhaustive
     enumerations call it on every subset.
+
+    The distance matrix is `routing_distances` of the routing graph,
+    computed on the first route unless `use_distances` handed it in.
     """
 
     def __init__(self, inst: InfluenceInstance):
@@ -296,47 +337,18 @@ class RoutingCost(CostFn):
         self.inst = inst
         self.n = inst.n
         self.min_increment = inst.per_node_cost
-        self._dist = None
+        self.use_distances(None)
+
+    def use_distances(self, dist) -> None:
+        """Route over `dist`, the matrix `routing_distances` gives for this
+        cost's routing graph, computed once elsewhere (None: compute it on
+        the first route)."""
+        self._dist = dist
         self._rows = {}  # node -> its distance row as a list, made on first use
 
     def _distances(self):
-        """All-pairs shortest-path lengths, by Dijkstra's algorithm (1959)
-        run in lockstep for blocks of sources: each step settles, per
-        source, its nearest unsettled node u and relaxes every node v to
-        min(d[v], d[u] + w(u, v)).  Each distance is the float sum that a
-        per-source heap Dijkstra forms, so the matrix equals its bit for
-        bit.  O(n^3) elementwise work, on (block, n) arrays."""
         if self._dist is None:
-            g = self.inst.routing_graph
-            n = g.n
-            ends = [t for out in g.adjacency for (t, _p, _w) in out]
-            lengths = [w for out in g.adjacency for (_t, _p, w) in out]
-            if None in lengths:
-                raise ValueError("routing edges must carry weights")
-            starts = [u for u, out in enumerate(g.adjacency) for _ in out]
-            weight = np.full((n, n), POS_INF)
-            np.minimum.at(weight, (starts, ends), lengths)  # lightest parallel edge
-            if not (weight >= 0).all():
-                raise ValueError("routing edge weights must be numbers >= 0")
-            dist = np.empty((n, n))
-            for first in range(0, n, DIJKSTRA_BLOCK):
-                block = dist[first:first + DIJKSTRA_BLOCK]
-                rows = np.arange(len(block))
-                block.fill(POS_INF)
-                block[rows, first + rows] = 0.0
-                settled = np.zeros_like(block)  # +inf where a source settled the node
-                pending = np.empty_like(block)
-                relaxed = np.empty_like(block)
-                for _ in range(n - 1):  # the last node left needs no step
-                    # a source with nothing reachable left picks any node;
-                    # relaxing from it again changes nothing
-                    u = np.add(block, settled, out=pending).argmin(axis=1)
-                    settled[rows, u] = POS_INF
-                    # u is in range; "clip" spares the copy "raise" makes of `out`
-                    np.take(weight, u, axis=0, out=relaxed, mode="clip")
-                    relaxed += block[rows, u][:, None]
-                    np.minimum(block, relaxed, out=block)
-            self._dist = dist
+            self._dist = routing_distances(self.inst.routing_graph)
         return self._dist
 
     def __call__(self, bits) -> float:

@@ -1,19 +1,22 @@
 import configparser
 import csv
+import hashlib
 import json
 import os
 import platform
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynsel import cli
+from dynsel import cli, problems
 from dynsel.cli import build_instance, main
-from dynsel.core import substream
-from dynsel.dynamics import load_schedule, read_run_csv
-from dynsel.problems import (bfs_reachable, gen_random_digraph, load_edge_list,
-                             random_linear_cost, save_edge_list)
+from dynsel.core import FORK_MIN_EVALS, substream
+from dynsel.dynamics import load_schedule, planned_evals, read_run_csv
+from dynsel.problems import (RoutingCost, bfs_reachable, gen_random_digraph,
+                             load_edge_list, random_linear_cost,
+                             save_edge_list)
 
 
 def run_cli(*argv):
@@ -461,6 +464,27 @@ class TestAnalyze:
         assert str(run_file) in err and "no records" in err
         assert "Traceback" not in err
 
+    def test_short_run_file_refused_by_name_before_any_baseline(
+            self, tmp_path, capsys, monkeypatch):
+        """A run file cut short ended in `empty or out-of-range interval`,
+        which named no file."""
+        config = write_config(tmp_path, algorithms="gga,eamc", seeds="3",
+                              tau=0, count=8)
+        run_cli("run", "--config", config)
+        run_file = tmp_path / "results" / "eamc_s1.csv"
+        run_file.write_text("".join(run_file.read_text().splitlines(True)[:6]))
+        budgets = []
+        monkeypatch.setattr(cli, "brute_force_baseline",
+                            lambda f, c: budgets.append)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", tmp_path / "results",
+                       "--intervals", "1-4,5-9") == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {run_file}: the run file holds 5 records where "
+            f"5 of the 6 run files hold 9\n")
+        assert budgets == []
+        assert not (tmp_path / "results" / "report.csv").exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("budget,", "budgte,", "the run file has no budget column"),
         ("change_index,", "index,", "the run file has no change_index column"),
@@ -544,6 +568,131 @@ output = results
         assert all(float(row["mean"]) >= 0 for row in rows)
         sig = json.loads((results / "report.significance.json").read_text())
         assert sig["negative_errors"] == 0
+
+
+def distance_files(bundle):
+    return sorted(bundle.glob("*.dist-*.npy"))
+
+
+def routing_bundle(tmp_path, *run_args):
+    """A small influence-routing experiment run into `tmp_path / results`,
+    with budgets where the route decides what fits; pomc-wp's default
+    warm-up plans over FORK_MIN_EVALS evaluations."""
+    config = tmp_path / "exp.ini"
+    assert run_cli("generate", "config", "--experiment", "influence-routing",
+                   "--n", 20, "--count", 3, "--tau", 20, "--run-seeds", 2,
+                   "--binit", 5, "--bmin", 4, "--bmax", 6, "--seed", 3,
+                   "--out", config) == 0
+    config.write_text(config.read_text().replace(
+        "[instance]\n", "[instance]\nper_node_cost = 1.0\n"))
+    assert run_cli("run", "--config", config, *run_args) == 0
+    return config, tmp_path / "results"
+
+
+def analyze_report(bundle):
+    """The report.csv and report.significance.json bytes of `analyze`."""
+    assert run_cli("analyze", "--results", bundle, "--baseline", "pomc:300",
+                   "--jobs", 1) == 0
+    return [(bundle / name).read_bytes()
+            for name in ("report.csv", "report.significance.json")]
+
+
+class TestRoutingDistances:
+    """`run` keeps the routing distances in its bundle, computed once before
+    it forks, and `analyze` reads them back instead of running Dijkstra."""
+
+    def test_report_is_the_same_with_and_without_the_file(self, tmp_path):
+        _config, results = routing_bundle(tmp_path)
+        assert len(distance_files(results)) == 1
+        bare = tmp_path / "bare"  # as a bundle written before the file was
+        shutil.copytree(results, bare)
+        distance_files(bare)[0].unlink()
+        assert analyze_report(results) == analyze_report(bare)
+        assert distance_files(bare) == []  # analyze writes no file
+
+    def test_file_holds_the_dijkstra_matrix_named_by_the_graph_digest(
+            self, tmp_path):
+        _config, results = routing_bundle(tmp_path)
+        graph = results / "exp.routing.edges"
+        digest = hashlib.sha256(graph.read_bytes()).hexdigest()[:16]
+        path, = distance_files(results)
+        assert path.name == f"exp.routing.edges.dist-{digest}.npy"
+        _f, _c, meta = build_instance(cli._read_config(results / "config.ini"),
+                                      results)
+        assert np.array_equal(np.load(path, allow_pickle=False),
+                              RoutingCost(meta["influence"])._distances())
+
+    def test_edited_routing_graph_is_recomputed(self, tmp_path):
+        _config, results = routing_bundle(tmp_path)
+        edited = tmp_path / "edited"
+        shutil.copytree(results, edited)
+        graph = edited / "exp.routing.edges"
+        header, *edges = graph.read_text().splitlines()
+        tripled = [f"{u} {v} {p} {3 * float(w)!r}"
+                   for u, v, p, w in map(str.split, edges)]
+        graph.write_text("\n".join([header, *tripled]) + "\n")
+        fresh = tmp_path / "fresh"  # the edited bundle without the stale file
+        shutil.copytree(edited, fresh)
+        stale = distance_files(edited)
+        for path in distance_files(fresh):
+            path.unlink()
+        report = analyze_report(edited)
+        assert report == analyze_report(fresh)
+        assert report != analyze_report(results)
+        assert distance_files(edited) == stale  # nothing written
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda d, raw: np.save(d, np.load(raw)[:, :-1]),
+         "the distances file holds a float64 array of shape (20, 19), not "
+         "the 20 x 20 float64 matrix of the routing graph"),
+        (lambda d, raw: np.save(d, np.load(raw).astype(np.float32)),
+         "the distances file holds a float32 array of shape (20, 20), not "
+         "the 20 x 20 float64 matrix of the routing graph"),
+        (lambda d, raw: np.save(d, -np.load(raw)),
+         "the distances file has a nonzero diagonal or an entry that is not "
+         "a number >= 0"),
+        (lambda d, raw: np.save(d, np.load(raw) + np.eye(20)),
+         "the distances file has a nonzero diagonal or an entry that is not "
+         "a number >= 0"),
+        (lambda d, raw: d.write_bytes(raw.read_bytes()[:100]),
+         "numpy cannot read the distances file: ")])
+    def test_bad_file_refused_by_name(self, tmp_path, capsys, spoil, message):
+        _config, results = routing_bundle(tmp_path)
+        path, = distance_files(results)
+        raw = tmp_path / "raw.npy"
+        shutil.copy(path, raw)
+        spoil(path, raw)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", results, "--jobs", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dynsel: error: {path}: {message}")
+        assert err.count("\n") == 1
+        assert not (results / "report.csv").exists()
+
+    def test_forked_run_writes_the_serial_run_files(self, tmp_path,
+                                                    monkeypatch):
+        """No route computes the distances: the forked children inherit
+        the matrix the parent computed."""
+        def no_dijkstra(graph):
+            raise AssertionError("a route ran Dijkstra")
+
+        monkeypatch.setattr(problems, "routing_distances", no_dijkstra)
+        seen = {}
+        for jobs in (1, 2):
+            config, results = routing_bundle(tmp_path, "--jobs", jobs)
+            manifest = json.loads((results / "manifest.json").read_text())
+            assert manifest["jobs"] == jobs and manifest["failed"] == []
+            seen[jobs] = {}
+            for path in sorted(results.glob("*_s*.csv")):
+                with open(path, newline="") as fh:
+                    seen[jobs][path.name] = [row[:-1] for row in csv.reader(fh)]
+            results.rename(tmp_path / f"results-{jobs}")
+        assert len(seen[2]) == 8 and seen[1] == seen[2]
+        experiment = cli.load_experiment(cli._read_config(config), tmp_path)
+        assert sum(planned_evals(alg, experiment.schedules[seed],
+                                 experiment.params)
+                   for alg in experiment.algorithms
+                   for seed in experiment.seeds) >= FORK_MIN_EVALS
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,22 @@ class TestSchedules:
             load_schedule(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("binit=2\nbmin=1\nbmax=3\nr=1\ntau=5\nseed=\nr=5\n1\n",
+         "line 7: r= repeats line 4"),
+        ("binit=2\nbmin=1\nbmax=3\nr=1\ntau=5\n1\ncolour=blue\n",
+         "line 7: unknown key 'colour'; a schedule file holds binit, bmin, "
+         "bmax, r, tau, seed")])
+    def test_schedule_file_repeated_or_unknown_key_refused_by_line(
+            self, tmp_path, text, message):
+        """The last of repeated keys was taken (r = 5 here) and an unknown
+        key was ignored, both without a word."""
+        path = tmp_path / "sched.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_schedule(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("field", ["r", "b_init", "b_min", "b_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_schedule_refuses_a_non_finite_number(self, field, value):
