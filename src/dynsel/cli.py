@@ -32,10 +32,10 @@ from .analysis import (bonferroni_posthoc, brute_force_baseline,
                        observed_baseline, offline_errors,
                        partial_offline_error)
 from .core import fork_map, substream, usable_cpus, worker_count
-from .dynamics import (ALL_ALGORITHMS, SCHEDULE_KEYS, SCHEDULE_PRESETS,
-                       load_schedule, planned_evals, preset_schedule,
-                       read_run_csv, run_dynamic, save_schedule,
-                       write_run_csv)
+from .dynamics import (ALL_ALGORITHMS, DEFAULT_COUNT, SCHEDULE_KEYS,
+                       SCHEDULE_PRESETS, BudgetSchedule, load_schedule,
+                       planned_evals, preset_schedule, read_run_csv,
+                       run_dynamic, save_schedule, write_run_csv)
 from .problems import (DirectedGraph, GraphParseError, IcSpreadObjective,
                        InfluenceInstance, SetCoverObjective, bfs_reachable,
                        gen_adversarial_knapsack, gen_ba_graph,
@@ -107,13 +107,15 @@ def _write_costs(path, seed, weights) -> None:
             fh.write(f"{float(w)!r}\n")
 
 
-def _schedule_flags(args) -> dict:
-    """The schedule flags given on the command line, by `[schedule]` key."""
-    given = {key: getattr(args, key) for key in SCHEDULE_KEYS
-             if getattr(args, key) is not None}
-    if args.integer_deltas:
-        given["integer_deltas"] = True
-    return given
+def _schedule_flags(args, preset) -> dict:
+    """The `[schedule]` section the `generate` flags give over schedule
+    preset `preset`: the keys with a default, then each one given."""
+    keys = sorted(SCHEDULE_KEYS, key=lambda key: key.default is None)
+    section = {"preset": preset, "count": args.count,
+               **{key.name: getattr(args, key.name) for key in keys},
+               "integer_deltas": args.integer_deltas or None}
+    return {key: str(value) for key, value in section.items()
+            if value is not None}
 
 
 def _generate_config(args, out: Path, rng) -> None:
@@ -135,9 +137,7 @@ def _generate_config(args, out: Path, rng) -> None:
     cfg["cost"] = {"variant": preset["cost"]}
     if preset["cost"] == "random-linear":
         cfg["cost"]["costs"] = f"{out.stem}.costs"
-    cfg["schedule"] = {"preset": preset["schedule"], "count": str(args.count),
-                       "tau": str(args.tau), "seed": str(args.seed),
-                       **{k: str(v) for k, v in _schedule_flags(args).items()}}
+    cfg["schedule"] = _schedule_flags(args, preset["schedule"])
     cfg["run"] = {"algorithms": preset["algorithms"],
                   "seeds": str(args.run_seeds), "output": "results"}
     load_experiment(cfg, out.parent)
@@ -170,10 +170,10 @@ def cmd_generate(args) -> int:
     rng = substream(args.seed, "generate", args.kind)
     out = Path(args.out)
     if args.kind == "schedule":
-        given = {SCHEDULE_KEYS.get(key, key): value
-                 for key, value in _schedule_flags(args).items()}
-        save_schedule(preset_schedule(args.preset, rng, count=args.count,
-                                      tau=args.tau, seed=args.seed, **given), out)
+        cfg = configparser.ConfigParser()
+        cfg["schedule"] = _schedule_flags(args, args.preset)
+        save_schedule(_read_schedule(cfg["schedule"], out.parent, 0,
+                                     "generate", "schedule"), out)
     elif args.kind == "ba":
         graph = gen_ba_graph(args.n, m=args.m, rng=rng, edge_prob=args.edge_prob)
         save_edge_list(graph, out)
@@ -221,8 +221,9 @@ def _config_int(section, key, default, minimum=None):
     return value
 
 
-def _config_float(section, key, default=None):
-    """`[section] key` as a finite float, `default` when absent."""
+def _config_float(section, key, default=None, minimum=None):
+    """`[section] key` as a finite float (>= `minimum` when one is given),
+    `default` when absent."""
     raw = section.get(key)
     if not raw:
         return default
@@ -230,9 +231,11 @@ def _config_float(section, key, default=None):
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"[{section.name}] {key} must be a finite number, "
-                         f"got {raw!r}")
+    low = minimum is not None and value < minimum
+    if low or not math.isfinite(value):
+        bound = f" >= {minimum}" if low else ""
+        raise ValueError(f"[{section.name}] {key} must be a finite "
+                         f"number{bound}, got {raw!r}")
     return value
 
 
@@ -331,7 +334,8 @@ def build_instance(cfg, base_dir: Path):
                 social_graph=graph,
                 simulations=_config_int(inst_sec, "simulations", 500, 1),
                 routing_graph=routing,
-                per_node_cost=_config_float(inst_sec, "per_node_cost", 0.1))
+                per_node_cost=_config_float(inst_sec, "per_node_cost", 0.1,
+                                            0))
             f = IcSpreadObjective(
                 influence, substream(_config_int(inst_sec, "seed", 0), "ic"))
             meta["influence"] = influence
@@ -396,26 +400,51 @@ def _routing_distances(cfg, c, meta, bundle: Path, save=False) -> None:
     c.use_distances(dist)
 
 
-def build_schedule(cfg, base_dir: Path, run_seed: int):
-    """The schedule of run seed `run_seed`: read from `[schedule] path`, or
-    drawn from the preset's parameters with every given key laid over them."""
-    sched_sec = cfg["schedule"]
-    tau = _config_int(sched_sec, "tau", None, 0)
-    if sched_sec.get("path"):
-        sched = load_schedule(base_dir / sched_sec.get("path"))
-        return sched if tau is None else dataclasses.replace(sched, tau=tau)
-    seed = _config_int(sched_sec, "seed", 0) + run_seed
-    given = {param: _config_float(sched_sec, key)
-             for key, param in SCHEDULE_KEYS.items() if sched_sec.get(key)}
+def _read_schedule(sched_sec, base_dir: Path, run_seed, *stream):
+    """The schedule `[schedule]` section `sched_sec` gives run seed
+    `run_seed`: drawn from `substream(seed + run_seed, *stream)` with the
+    preset's parameters and every given key laid over them, or read from
+    the file `path` names, relative to `base_dir`.  Beside `path`, a given
+    tau overrides the file's, every other schedule key must equal the
+    file's value and the keys that only shape a draw are refused."""
+    read = {int: _config_int, float: _config_float}
+    values = {key.field: read[key.kind](sched_sec, key.name, key.default,
+                                        key.minimum) for key in SCHEDULE_KEYS}
+    name = sched_sec.get("path")
+    if name:
+        for key in ("preset", "count", "seed", "integer_deltas"):
+            if sched_sec.get(key):
+                raise ValueError(f"[schedule] {key} is not read beside "
+                                 f"[schedule] path {name!r}, whose file holds "
+                                 f"the whole schedule; drop the key")
+        sched = load_schedule(base_dir / name)
+        for key in SCHEDULE_KEYS:
+            given, held = values[key.field], getattr(sched, key.field)
+            if sched_sec.get(key.name) and key.name != "tau" and given != held:
+                raise ValueError(f"[schedule] {key.name} = {given!r} differs "
+                                 f"from {key.name} = {held!r} in the schedule "
+                                 f"file {name!r}; drop the key or make it "
+                                 f"match")
+        if sched_sec.get("tau"):
+            return dataclasses.replace(sched, tau=values["tau"])
+        return sched
+    params = {field: value for field, value in values.items()
+              if value is not None}
+    params["seed"] += run_seed
     if sched_sec.get("integer_deltas"):
-        given["integer_deltas"] = sched_sec.getboolean("integer_deltas")
-    given.update(count=_config_int(sched_sec, "count", 200, 1), seed=seed,
-                 tau=1000 if tau is None else tau)
+        params["integer_deltas"] = sched_sec.getboolean("integer_deltas")
+    count = _config_int(sched_sec, "count", DEFAULT_COUNT, 1)
     try:
         return preset_schedule(sched_sec.get("preset") or None,
-                               substream(seed, "schedule"), **given)
+                               substream(params["seed"], *stream),
+                               count=count, **params)
     except ValueError as exc:
         raise ValueError(f"[schedule] {exc}") from None
+
+
+def build_schedule(cfg, base_dir: Path, run_seed: int):
+    """The schedule of run seed `run_seed` (see `_read_schedule`)."""
+    return _read_schedule(cfg["schedule"], base_dir, run_seed, "schedule")
 
 
 def _run_seeds(run_sec):
@@ -433,10 +462,11 @@ def _run_seeds(run_sec):
 
 
 class Experiment(NamedTuple):
-    """A config's algorithms, run seeds, schedule by seed and shared params."""
+    """A config's algorithms, run seeds, first seed's schedule (every seed's
+    has its r and tau) and shared params."""
     algorithms: list
     seeds: list
-    schedules: dict
+    schedule: BudgetSchedule
     params: dict
 
 
@@ -456,17 +486,12 @@ def load_experiment(cfg, base_dir: Path) -> Experiment:
     _distinct(algorithms, "[run] algorithms")
     seeds = _run_seeds(run_sec)
     warmup = _config_int(run_sec, "warmup", None, 0)
-    schedules = {seed: build_schedule(cfg, base_dir, seed) for seed in seeds}
+    # no drawing error depends on the seed, so one draw checks them all
+    schedule = build_schedule(cfg, base_dir, seeds[0])
     params = {} if warmup is None else {"warmup_evals": warmup}
-    r = schedules[seeds[0]].r  # the same r for every seed
-    given = _config_float(cfg["schedule"], "r")
-    if given is not None and given != r:  # only a schedule file's r can differ
-        raise ValueError(f"[schedule] r = {given!r} differs from r = {r!r} in "
-                         f"the schedule file {cfg['schedule'].get('path')!r}; "
-                         f"drop the key or make it match")
-    if given is not None or r:
-        params["delta_cap"] = r
-    return Experiment(algorithms, seeds, schedules, params)
+    if schedule.r:
+        params["delta_cap"] = schedule.r
+    return Experiment(algorithms, seeds, schedule, params)
 
 
 def cmd_run(args) -> int:
@@ -474,22 +499,23 @@ def cmd_run(args) -> int:
     config_path = Path(args.config)
     cfg = _read_config(config_path)
     base_dir = config_path.parent
-    algorithms, seeds, schedules, params = load_experiment(cfg, base_dir)
+    algorithms, seeds, schedule, params = load_experiment(cfg, base_dir)
     f, c, meta = build_instance(cfg, base_dir)
 
     out_dir = Path(cfg["run"].get("output", "results"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    shutil.copy(config_path, out_dir / "config.ini")
-    # copy referenced inputs so the output directory is a self-contained bundle
-    for section, key in INPUT_KEYS:
-        if cfg.has_section(section) and cfg[section].get(key):
-            src = base_dir / cfg[section].get(key)
-            dst = out_dir / cfg[section].get(key)
-            if src.exists() and src.resolve() != dst.resolve():
-                dst.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy(src, dst)
+    # copy the config and its inputs so the output directory is a
+    # self-contained bundle; a file already in place (`output = .`) stays
+    copies = {"config.ini": config_path}
+    copies.update((name, base_dir / name) for section, key in INPUT_KEYS
+                  if (name := cfg.get(section, key, fallback="")))
+    for name, src in copies.items():
+        dst = out_dir / name
+        if src.exists() and src.resolve() != dst.resolve():
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(src, dst)
     _routing_distances(cfg, c, meta, out_dir, save=True)
 
     def run_task(task):
@@ -504,6 +530,8 @@ def cmd_run(args) -> int:
         return records, error, round(time.perf_counter() - start, 6)
 
     cfg_hash = _config_hash(config_path.read_text())
+    schedules = {seed: schedule if seed == seeds[0]
+                 else build_schedule(cfg, base_dir, seed) for seed in seeds}
     tasks = [(alg, seed) for seed in seeds for alg in algorithms]
     planned = sum(planned_evals(alg, schedules[seed], params) for alg, seed in tasks)
     jobs = worker_count(jobs, len(tasks), planned)
@@ -588,21 +616,18 @@ def _baseline_evals(spec):
 
 def _read_manifest(path) -> dict:
     """A bundle's manifest, refused by key unless it holds what `analyze`
-    reads: a `files` list of run file names (`RUN_FILE`), a non-empty
-    `seeds` list of integers and a `config_hash` string."""
+    reads: a `files` list of run file names (`RUN_FILE`) and a
+    `config_hash` string."""
     manifest = json.loads(Path(path).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: the manifest is not a JSON object")
     for key, kind, what in (("files", list, "a list"),
-                            ("seeds", list, "a non-empty list of integers"),
                             ("config_hash", str, "a string")):
         if key not in manifest:
             raise ValueError(f"{path}: the manifest has no {key!r} key")
-        value = manifest[key]
-        if not isinstance(value, kind) or key == "seeds" and not (
-                value and all(type(s) is int for s in value)):
+        if not isinstance(manifest[key], kind):
             raise ValueError(f"{path}: the manifest's {key!r} must be {what}, "
-                             f"got {value!r}")
+                             f"got {manifest[key]!r}")
     for name in manifest["files"]:
         match = isinstance(name, str) and RUN_FILE.fullmatch(name)
         if not match or match["algorithm"] not in ALL_ALGORITHMS:
@@ -618,7 +643,13 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--alpha must be in (0, 1), got {args.alpha!r}")
     results_dir = Path(args.results)
     manifest = _read_manifest(results_dir / "manifest.json")
-    cfg = _read_config(results_dir / "config.ini")
+    config = results_dir / "config.ini"
+    cfg = _read_config(config)
+    cfg_hash = _config_hash(config.read_text())
+    if cfg_hash != manifest["config_hash"]:  # edited after the run
+        raise ValueError(f"{config}: the config hashes to {cfg_hash}, not to "
+                         f"the manifest's config_hash {manifest['config_hash']}")
+    schedule = load_experiment(cfg, results_dir).schedule
     f, c, meta = build_instance(cfg, results_dir)
 
     by_alg = {}
@@ -655,7 +686,6 @@ def cmd_analyze(args) -> int:
     baseline, negatives = observed_baseline(baseline, runs)
     algorithms = sorted(by_alg)
 
-    schedule = build_schedule(cfg, results_dir, manifest["seeds"][0])
     r_val, tau_val = f"{schedule.r:.12g}", schedule.tau
     constraint = manifest.get("cost_variant", "")
 
@@ -760,15 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=0.02)
     gen.add_argument("--m", type=int, default=2)
     gen.add_argument("--edge-prob", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--preset", choices=sorted(SCHEDULE_PRESETS))
-    gen.add_argument("--count", type=int, default=200)
-    gen.add_argument("--tau", type=int, default=1000)
-    gen.add_argument("--binit", type=float)
-    gen.add_argument("--bmin", type=float)
-    gen.add_argument("--bmax", type=float)
-    gen.add_argument("--r", type=float)
+    gen.add_argument("--count", type=int, default=DEFAULT_COUNT)
+    for key in SCHEDULE_KEYS:  # --seed also seeds every other kind
+        gen.add_argument(f"--{key.name}", type=key.kind, default=key.default)
     gen.add_argument("--integer-deltas", action="store_true")
     gen.set_defaults(func=cmd_generate)
 

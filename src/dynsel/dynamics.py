@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 from .algorithms import AdaptiveGreedy, Eamc, Gga, Nsga2, Pomc
 from .core import substream
@@ -100,19 +101,39 @@ SCHEDULE_PRESETS = {
     "random-cost": dict(b_init=1.0, b_min=0.0, b_max=3.0, r=0.1, integer_deltas=False),
 }
 
-
-# schedule file keys, config keys and `generate schedule` flags, by the
-# gen_schedule parameter each one sets
-SCHEDULE_KEYS = {"binit": "b_init", "bmin": "b_min", "bmax": "b_max", "r": "r"}
+DEFAULT_COUNT = 200  # budget changes, where a config or `generate` names none
+DEFAULT_TAU = 1000  # evaluations per change, likewise
 
 
-def preset_schedule(name, rng, count=200, tau=1000, seed=None, **given):
+class ScheduleKey(NamedTuple):
+    """A schedule field, named alike in a schedule file, a `[schedule]`
+    section and a `generate` flag."""
+    name: str
+    field: str  # the BudgetSchedule field it sets
+    kind: type  # int, or float (which must be finite)
+    default: object = None  # where a config leaves it out; None: the preset's
+    minimum: int | None = None  # the least value a config may give
+
+
+# in the order `save_schedule` writes them
+SCHEDULE_KEYS = (ScheduleKey("binit", "b_init", float),
+                 ScheduleKey("bmin", "b_min", float),
+                 ScheduleKey("bmax", "b_max", float),
+                 ScheduleKey("r", "r", float),
+                 ScheduleKey("tau", "tau", int, DEFAULT_TAU, 0),
+                 ScheduleKey("seed", "seed", int, 0))
+
+
+def preset_schedule(name, rng, count=DEFAULT_COUNT, tau=DEFAULT_TAU, seed=None,
+                    **given):
     """Schedule from preset `name`'s parameters with every `given` one laid
-    over them; with `name` None, `given` must hold all of SCHEDULE_KEYS."""
+    over them; with `name` None, `given` must hold b_init, b_min, b_max and
+    r."""
     if name is not None and name not in SCHEDULE_PRESETS:
         raise ValueError(f"unknown schedule preset {name!r}")
     params = {**SCHEDULE_PRESETS.get(name, {}), **given}
-    missing = [key for key, param in SCHEDULE_KEYS.items() if param not in params]
+    missing = [key.name for key in SCHEDULE_KEYS
+               if key.default is None and key.field not in params]
     if missing:
         raise ValueError(f"schedule needs a preset or {', '.join(missing)}")
     return gen_schedule(count=count, tau=tau, rng=rng, seed=seed, **params)
@@ -120,12 +141,10 @@ def preset_schedule(name, rng, count=200, tau=1000, seed=None, **given):
 
 def save_schedule(schedule: BudgetSchedule, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"binit={schedule.b_init!r}\n")
-        fh.write(f"bmin={schedule.b_min!r}\n")
-        fh.write(f"bmax={schedule.b_max!r}\n")
-        fh.write(f"r={schedule.r!r}\n")
-        fh.write(f"tau={schedule.tau}\n")
-        fh.write(f"seed={schedule.seed if schedule.seed is not None else ''}\n")
+        for key in SCHEDULE_KEYS:
+            value = getattr(schedule, key.field)  # only the seed may be None
+            text = repr(value) if key.kind is float else "" if value is None else value
+            fh.write(f"{key.name}={text}\n")
         for d in schedule.deltas:
             fh.write(f"{d!r}\n")
 
@@ -138,58 +157,47 @@ def _finite(text) -> float:
     return value
 
 
-# the header keys `save_schedule` writes, in its order
-SCHEDULE_FILE_KEYS = ("binit", "bmin", "bmax", "r", "tau", "seed")
-
-
 def load_schedule(path) -> BudgetSchedule:
     """The schedule `save_schedule` wrote; a missing, repeated or unknown
     key, a line that is not a finite number (an integer for tau and seed)
     or a value `BudgetSchedule` refuses (a negative tau, say) is refused
     with a ValueError that names the file, and the line where there is
-    one."""
-    header, lines = {}, {}  # key -> its value, key -> its line number
-    deltas = []
+    one.  Only the seed may be empty."""
+    keys = {key.name: key for key in SCHEDULE_KEYS}
+    deltas, lines = [], {}  # key -> its line number
+    fields = {"deltas": deltas, "seed": None}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
+            name, eq, text = (part.strip() for part in raw.partition("="))
+            where = f"{path}: line {lineno}"
+            if not eq:
+                if name:  # a budget change; blank lines are skipped
+                    try:
+                        deltas.append(_finite(name))
+                    except ValueError:
+                        raise ValueError(f"{where}: {name!r} is not a finite "
+                                         f"budget change") from None
                 continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in SCHEDULE_FILE_KEYS:
-                    raise ValueError(
-                        f"{path}: line {lineno}: unknown key {key!r}; a "
-                        f"schedule file holds {', '.join(SCHEDULE_FILE_KEYS)}")
-                if key in header:
-                    raise ValueError(f"{path}: line {lineno}: {key}= repeats "
-                                     f"line {lines[key]}")
-                header[key] = value.strip()
-                lines[key] = lineno
-                continue
+            if name not in keys:
+                raise ValueError(f"{where}: unknown key {name!r}; a schedule "
+                                 f"file holds {', '.join(keys)}")
+            if name in lines:
+                raise ValueError(f"{where}: {name}= repeats line {lines[name]}")
+            lines[name] = lineno
+            kind = keys[name].kind
             try:
-                deltas.append(_finite(line))
+                if text or name != "seed":
+                    fields[keys[name].field] = (_finite if kind is float
+                                                else kind)(text)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: {line!r} is not a "
-                                 f"finite budget change") from None
-
-    def value(key, kind):
-        if key not in header:
-            raise ValueError(f"{path}: the schedule file has no {key}= line")
-        try:
-            return kind(header[key])
-        except ValueError:
-            what = "an integer" if kind is int else "a finite number"
-            raise ValueError(f"{path}: line {lines[key]}: {key}={header[key]!r} "
-                             f"is not {what}") from None
-
-    seed = value("seed", int) if header.get("seed") else None
-    fields = dict(b_init=value("binit", _finite), b_min=value("bmin", _finite),
-                  b_max=value("bmax", _finite), tau=value("tau", int),
-                  r=value("r", _finite))
+                what = "an integer" if kind is int else "a finite number"
+                raise ValueError(f"{where}: {name}={text!r} is not "
+                                 f"{what}") from None
+    for name in keys:
+        if name not in lines and name != "seed":
+            raise ValueError(f"{path}: the schedule file has no {name}= line")
     try:
-        return BudgetSchedule(deltas=deltas, seed=seed, **fields)
+        return BudgetSchedule(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

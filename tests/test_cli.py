@@ -297,6 +297,26 @@ class TestInputs:
         with pytest.raises(ValueError, match=r"\[cost\] costs"):
             build_instance(cfg, tmp_path)
 
+    def test_bundle_in_the_config_directory_runs_and_analyzes(self, tmp_path):
+        """`output = .` beside a config named config.ini ended in "are the
+        same file" with exit 2."""
+        config = write_config(tmp_path, algorithms="gga,pomc", tau=5, count=3)
+        config.write_text(config.read_text().replace("output = results",
+                                                     "output = ."))
+        text = config.read_text()
+        assert run_cli("run", "--config", config) == 0
+        assert config.read_text() == text
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failed"] == [] and len(manifest["files"]) == 4
+        assert run_cli("analyze", "--results", tmp_path) == 0
+        assert (tmp_path / "report.csv").exists()
+
+    def test_zero_per_node_cost_is_taken(self, tmp_path):
+        cfg = read_config(write_config(tmp_path), instance={
+            "kind": "influence", "simulations": "5", "per_node_cost": "0"})
+        _f, _c, meta = build_instance(cfg, tmp_path)
+        assert meta["influence"].per_node_cost == 0.0
+
     def test_run_and_analyze_write_only_into_results(self, tmp_path):
         config = tmp_path / "exp.ini"
         run_cli("generate", "config", "--experiment", "maxcov-random",
@@ -689,8 +709,7 @@ class TestRoutingDistances:
             results.rename(tmp_path / f"results-{jobs}")
         assert len(seen[2]) == 8 and seen[1] == seen[2]
         experiment = cli.load_experiment(cli._read_config(config), tmp_path)
-        assert sum(planned_evals(alg, experiment.schedules[seed],
-                                 experiment.params)
+        assert sum(planned_evals(alg, experiment.schedule, experiment.params)
                    for alg in experiment.algorithms
                    for seed in experiment.seeds) >= FORK_MIN_EVALS
 
@@ -726,9 +745,15 @@ class TestErrors:
           "--bmax", 1, "--out", "g.ini"),
          "[schedule] need b_min <= b_init <= b_max, got b_min = 3.0, "
          "b_init = 500.0, b_max = 1.0"),
-        # generate schedule keeps the schedule's own message
+        # so does generate schedule
         (("generate", "schedule", "--preset", "influence", "--tau", -5,
-          "--out", "s.txt"), "tau must be non-negative, got -5")])
+          "--out", "s.txt"), "[schedule] tau must be an integer >= 0, got '-5'"),
+        (("generate", "schedule", "--preset", "influence", "--count", 0,
+          "--out", "s.txt"), "[schedule] count must be an integer >= 1, got '0'"),
+        (("generate", "schedule", "--preset", "influence", "--binit", "nan",
+          "--out", "s.txt"), "[schedule] binit must be a finite number, got 'nan'"),
+        (("generate", "schedule", "--binit", 1, "--out", "s.txt"),
+         "[schedule] schedule needs a preset or bmin, bmax, r")])
     def test_one_line_and_exit_code_2(self, tmp_path, monkeypatch, capsys,
                                       argv, message):
         monkeypatch.chdir(tmp_path)
@@ -781,6 +806,36 @@ class TestErrors:
         config.write_text(config.read_text().replace(f"r = {r}", "r = 1.0"))
         experiment = cli.load_experiment(cli._read_config(config), tmp_path)
         assert experiment.params == {"delta_cap": 1.0}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("bmax", "40", "bmax = 40.0 differs from bmax = 3.0"),
+        ("binit", "7", "binit = 7.0 differs from binit = 2.0"),
+        ("bmin", "0.5", "bmin = 0.5 differs from bmin = 1.0"),
+        ("preset", "outdegree", "preset is not read"),
+        ("count", "9", "count is not read"),
+        ("seed", "3", "seed is not read"),
+        ("integer_deltas", "true", "integer_deltas is not read")])
+    def test_schedule_key_beside_a_schedule_file_refused_by_key(
+            self, tmp_path, capsys, key, value, message):
+        """Each of these was ignored: the run took the file's budgets."""
+        (tmp_path / "g.edges").write_text(G3_EDGE_LIST)
+        (tmp_path / "sched.txt").write_text(
+            "binit=2\nbmin=1\nbmax=3\nr=1\ntau=5\n1\n")
+        config = tmp_path / "exp.ini"
+        config.write_text("[instance]\nkind = coverage\ngraph = g.edges\n\n"
+                          "[run]\nalgorithms = gga\n\n"
+                          f"[schedule]\npath = sched.txt\n{key} = {value}\n")
+        assert run_cli("run", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dynsel: error: [schedule] {message}")
+        assert "'sched.txt'" in err and err.count("\n") == 1
+        assert not (tmp_path / "results").exists()
+        # the file's own value is taken, and tau still overrides the file's
+        config.write_text(config.read_text().replace(
+            f"{key} = {value}", "binit = 2.0\ntau = 9"))
+        schedule = cli.load_experiment(cli._read_config(config),
+                                       tmp_path).schedule
+        assert (schedule.b_init, schedule.tau, schedule.deltas) == (2.0, 9, [1.0])
 
     def test_schedule_file_with_a_nan_r_refused_by_file_and_line(
             self, tmp_path, capsys):
@@ -842,7 +897,9 @@ class TestErrors:
         ({"instance": {"kind": "influence", "seed": "s"}},
          "[instance] seed must be an integer, got 's'"),
         ({"instance": {"kind": "influence", "per_node_cost": "inf"}},
-         "[instance] per_node_cost must be a finite number, got 'inf'")])
+         "[instance] per_node_cost must be a finite number, got 'inf'"),
+        ({"instance": {"kind": "influence", "per_node_cost": "-5"}},
+         "[instance] per_node_cost must be a finite number >= 0, got '-5'")])
     def test_bad_number_names_its_field_before_anything_is_written(
             self, tmp_path, capsys, sections, message):
         cfg = read_config(write_config(tmp_path, algorithms="gga,pomc"),
@@ -921,9 +978,6 @@ class TestErrors:
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("seeds", None, "the manifest has no 'seeds' key"),
-        ("seeds", [], "the manifest's 'seeds' must be a non-empty list of "
-                      "integers, got []"),
         ("files", None, "the manifest has no 'files' key"),
         ("config_hash", None, "the manifest has no 'config_hash' key"),
         (None, 5, "the manifest is not a JSON object")])
@@ -964,6 +1018,27 @@ class TestErrors:
             f"dynsel: error: {path}: the manifest's 'files' entry {entry!r} "
             f"is not <algorithm>_s<seed>.csv\n")
         assert not (tmp_path / "results" / "report.csv").exists()
+
+    def test_edited_bundle_config_refused_by_both_hashes(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """The report took the edited tau and stamped the run's hash."""
+        config = write_config(tmp_path, algorithms="gga", seeds="2",
+                              tau=5, count=2)
+        run_cli("run", "--config", config)
+        results = tmp_path / "results"
+        manifest = json.loads((results / "manifest.json").read_text())
+        bundled = results / "config.ini"
+        bundled.write_text(bundled.read_text().replace("tau = 5", "tau = 99"))
+        edited = hashlib.sha256(bundled.read_bytes()).hexdigest()[:16]
+        monkeypatch.setattr(cli, "brute_force_baseline", None)
+        capsys.readouterr()
+        assert run_cli("analyze", "--results", results) == 2
+        assert capsys.readouterr().err == (
+            f"dynsel: error: {bundled}: the config hashes to {edited}, not to "
+            f"the manifest's config_hash {manifest['config_hash']}\n")
+        assert sorted(p.name for p in results.iterdir()) == [
+            "config.ini", "g3.edges", "gga_s0.csv", "gga_s1.csv",
+            "manifest.json"]
 
     def test_negative_seed_run_file_is_read(self, tmp_path):
         config = write_config(tmp_path, algorithms="gga,pomc", seeds="-1,3",

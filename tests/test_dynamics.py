@@ -157,6 +157,19 @@ class TestSchedules:
         assert (back.b_init, back.b_min, back.b_max, back.tau, back.r,
                 back.seed) == (s.b_init, s.b_min, s.b_max, s.tau, s.r, s.seed)
 
+    def test_saved_text_is_pinned(self, tmp_path):
+        """Key order and number format of a schedule file."""
+        path = tmp_path / "sched.txt"
+        save_schedule(BudgetSchedule(b_init=1.0, b_min=0.0, b_max=3.0,
+                                     deltas=[0.1, -0.1, 0.1], tau=500, r=0.1,
+                                     seed=7), path)
+        assert path.read_text() == ("binit=1.0\nbmin=0.0\nbmax=3.0\nr=0.1\n"
+                                    "tau=500\nseed=7\n0.1\n-0.1\n0.1\n")
+        save_schedule(BudgetSchedule(b_init=2, b_min=1, b_max=3, deltas=[1.0],
+                                     tau=0, r=1), path)
+        assert path.read_text() == ("binit=2\nbmin=1\nbmax=3\nr=1\ntau=0\n"
+                                    "seed=\n1.0\n")
+
     def test_integer_deltas_below_one_refused(self):
         # rng.integers(0, 1) is always 0, so this drew forever
         with pytest.raises(ValueError, match="r"):
